@@ -471,10 +471,12 @@ def enumeration_cap(cap: int | None = None) -> int:
 
 
 class _DigitKernel:
-    """Vectorized arithmetic for blocks of F_q[x]/(x^n - 1) elements, odd p.
+    """Vectorized arithmetic for blocks of F_q[x]/(x^n - 1) elements, any p.
 
     Elements are digit arrays: shape (N, n) of base-p digits when q = p,
-    else (N, n, r) holding the base-p digits of each coefficient.
+    else (N, n, r) holding the base-p digits of each coefficient.  Products
+    accumulate in int32 whenever the largest unreduced coefficient,
+    n r (p-1)^2 (1 + (r-1)(p-1)), fits, else in int64.
     """
 
     def __init__(self, n: int, q: int):
@@ -482,6 +484,8 @@ class _DigitKernel:
         self.q = q
         self.n = n
         self.digit_dtype = np.uint8 if self.p < 256 else np.int64
+        bound = n * self.r * (self.p - 1) ** 2 * (1 + (self.r - 1) * (self.p - 1))
+        self.acc_dtype = np.int32 if bound < 1 << 31 else np.int64
         self.field = field_for(q) if self.r > 1 else None
         if self.field is not None:
             # y^s mod modulus for s = 0..2r-2, as base-p digit rows.
@@ -513,11 +517,8 @@ class _DigitKernel:
             return digits
         return digits.reshape(-1, self.n, self.r)
 
-    def select(self, block: np.ndarray, rows) -> np.ndarray:
-        return block[rows]
-
     def restricted_mask(self, block: np.ndarray) -> np.ndarray:
-        sums = block.astype(np.int64).sum(axis=1) % self.p
+        sums = block.sum(axis=1, dtype=np.int64) % self.p
         if self.r == 1:
             return sums == 1
         want = np.zeros(self.r, dtype=np.int64)
@@ -556,26 +557,23 @@ class _DigitKernel:
         return result
 
     def _conv_prime(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        rows, n = a.shape
-        buf = np.zeros((rows, 2 * n - 1), dtype=np.int64)
-        b64 = b.astype(np.int64)
-        for i in range(n):
-            buf[:, i : i + n] += a[:, i, None].astype(np.int64) * b64
-        buf[:, : n - 1] += buf[:, n:]
-        return (buf[:, :n] % self.p).astype(self.digit_dtype)
+        acc = np.zeros(a.shape, dtype=self.acc_dtype)
+        wide = a.astype(self.acc_dtype)
+        for i in range(self.n):
+            acc += wide[:, i, None] * np.roll(b, i, axis=1)
+        return (acc % self.p).astype(self.digit_dtype)
 
     def _conv_ext(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows, n, r = a.shape
-        buf = np.zeros((rows, 2 * n - 1, 2 * r - 1), dtype=np.int64)
-        b64 = b.astype(np.int64)
+        acc = np.zeros((rows, n, 2 * r - 1), dtype=self.acc_dtype)
+        wide = a.astype(self.acc_dtype)
         for i in range(n):
+            rolled = np.roll(b, i, axis=1)
             for u in range(r):
-                coef = a[:, i, u].astype(np.int64)
-                buf[:, i : i + n, u : u + r] += coef[:, None, None] * b64
-        buf[:, : n - 1, :] += buf[:, n:, :]
-        out = buf[:, :n, :r]
+                acc[:, :, u : u + r] += wide[:, i, u, None, None] * rolled
+        out = acc[:, :, :r]
         for s in range(r, 2 * r - 1):
-            col = buf[:, :n, s]
+            col = acc[:, :, s]
             for t in range(r):
                 c = int(self.y_reduction[s, t])
                 if c:
@@ -641,11 +639,12 @@ class _BitKernel:
             [(ids >> (u * self.n)) & self.bit_mask for u in range(self.r)]
         )
 
-    def select(self, block: np.ndarray, rows) -> np.ndarray:
-        return block[:, rows]
-
     def restricted_mask(self, block: np.ndarray) -> np.ndarray:
-        parity = np.bitwise_count(block.astype(np.uint64)) & 1
+        # Parity of each plane by xor-folding its (at most 62) bits.
+        parity = block.copy()
+        for shift in (32, 16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        parity &= 1
         mask = parity[0] == 1
         for u in range(1, self.r):
             mask &= parity[u] == 0
@@ -708,6 +707,14 @@ class _BitKernel:
         return np.stack(moved)
 
     def power(self, block: np.ndarray, e: int) -> np.ndarray:
+        """block ** e elementwise in the ring (e >= 1), chunked over columns."""
+        out = np.empty_like(block)
+        for lo in range(0, block.shape[1], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, block.shape[1])
+            out[:, lo:hi] = self._power_chunk(block[:, lo:hi], e)
+        return out
+
+    def _power_chunk(self, block: np.ndarray, e: int) -> np.ndarray:
         if e == 2:
             return self.frobenius(block)
         bits = bin(e)[3:]
@@ -719,80 +726,76 @@ class _BitKernel:
         return result
 
 
-def _make_kernel(n: int, q: int):
+def _candidate_primes(n: int, q: int) -> list[int]:
+    """Every prime that can divide |C(n, q)|: p, and the primes of q^o - 1
+    where o is the order of q modulo the p-free part of n."""
     p, _ = _require_prime_power(q)
-    return _BitKernel(n, q) if p == 2 else _DigitKernel(n, q)
+    m = n // p ** nu(n, p)
+    field_order = multiplicative_order(q, m) if m > 1 else 1
+    return sorted({p} | set(prime_factors(q**field_order - 1)))
 
 
-@dataclass(frozen=True)
-class _BruteAnalysis:
-    """Per-element torsion levels for one (n, q), serving all group modes.
+def _compute_levels(kernel, population, in_x, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element torsion levels for the prime ell: level_id[g] is the least
+    i with g^(ell^i) = 1, level_x[g] the least i with g^(ell^i) in <x>
+    (-1 when never reached); in_x marks the keys of <x>.
 
-    level_id[g] is the least i with g^(ell^i) = 1, level_x[g] the least i
-    with g^(ell^i) in <x> (-1 when never reached); restricted marks the
-    elements with value 1 at x = 1.
+    The population is powered once.  An element's key is its enumeration
+    index, so the keys of population^ell are the ell-power map as an index
+    array, and every later round is one gather through it.
     """
-
-    n: int
-    restricted: np.ndarray
-    levels: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _compute_levels(kernel, population, xkeys, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    total = population.shape[-1] if isinstance(kernel, _BitKernel) else population.shape[0]
-    level_id = np.full(total, -1, dtype=np.int16)
-    level_x = np.full(total, -1, dtype=np.int16)
-    alive = np.arange(total)
-    cur = population
+    step = kernel.keys(kernel.power(population, ell))
+    level_id = np.full(in_x.size, -1, dtype=np.int16)
+    level_x = np.full(in_x.size, -1, dtype=np.int16)
+    cur = np.arange(in_x.size)
     for i in range(64):
-        keys = kernel.keys(cur)
-        hit_id = keys == 1
-        hit_x = np.isin(keys, xkeys)
-        new_x = hit_x & (level_x[alive] < 0)
-        new_id = hit_id & (level_id[alive] < 0)
-        level_x[alive[new_x]] = i
-        level_id[alive[new_id]] = i
-        if i > 0 and not new_x.any() and not new_id.any():
+        new_id = (cur == 1) & (level_id < 0)
+        new_x = in_x[cur] & (level_x < 0)
+        level_id[new_id] = i
+        level_x[new_x] = i
+        if i > 0 and not new_id.any() and not new_x.any():
             return level_id, level_x
-        keep = level_id[alive] < 0
-        alive = alive[keep]
-        if alive.size == 0:
-            return level_id, level_x
-        cur = kernel.power(kernel.select(cur, keep), ell)
+        cur = step[cur]
     raise AssertionError(f"torsion levels for prime {ell} did not stabilize in 64 rounds")
 
 
-@lru_cache(maxsize=2)
-def _brute_analysis(n: int, q: int) -> _BruteAnalysis:
-    p, _ = _require_prime_power(q)
-    total = q**n
-    kernel = _make_kernel(n, q)
+def _level_histograms(kernel) -> dict[int, dict[tuple[bool, bool], np.ndarray]]:
+    """Torsion-level histograms of the whole ring, serving all group modes.
+
+    hist[ell][(restricted, modulo_x)][i] counts the elements (only those
+    with value 1 at x = 1 when restricted) whose level for ell is i, with
+    levels to the identity, or into <x> when modulo_x, as in _compute_levels.
+    """
+    total = kernel.q**kernel.n
     population = kernel.build_population(total)
     restricted = kernel.restricted_mask(population)
-    xkeys = np.unique(kernel.x_keys())
-    k = nu(n, p) if n % p == 0 else 0
-    m = n // p**k
-    field_order = multiplicative_order(q, m) if m > 1 else 1
-    candidates = sorted({p} | set(prime_factors(q**field_order - 1)))
-    levels = {
-        ell: _compute_levels(kernel, population, xkeys, ell) for ell in candidates
-    }
-    return _BruteAnalysis(n=n, restricted=restricted, levels=levels)
+    in_x = np.zeros(total, dtype=bool)
+    in_x[kernel.x_keys()] = True
+    hist = {}
+    for ell in _candidate_primes(kernel.n, kernel.q):
+        level_id, level_x = _compute_levels(kernel, population, in_x, ell)
+        hist[ell] = {}
+        for modulo_x, level in ((False, level_id), (True, level_x)):
+            for only_restricted in (False, True):
+                selected = level[restricted] if only_restricted else level
+                hist[ell][only_restricted, modulo_x] = np.bincount(selected[selected >= 0])
+    return hist
 
 
-def _torsion_series(level: np.ndarray, mask: np.ndarray | None, divisor: int) -> list[int]:
+@lru_cache(maxsize=2)
+def _brute_analysis(n: int, q: int) -> dict[int, dict[tuple[bool, bool], np.ndarray]]:
+    kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
+    return _level_histograms(kernel)
+
+
+def _torsion_series(histogram: np.ndarray, divisor: int) -> list[int]:
     """Cumulative counts #{g : level(g) <= i}, divided by divisor, listed
     through the first repeated value (where the series provably stays)."""
-    selected = level if mask is None else level[mask]
-    selected = selected[selected >= 0].astype(np.int64)
-    if selected.size == 0:
-        return [0]
-    cumulative = np.cumsum(np.bincount(selected)).tolist()
     counts = []
-    for tally in cumulative:
+    for tally in np.cumsum(histogram).tolist():
         if tally % divisor != 0:
             raise AssertionError(f"tally {tally} is not a multiple of {divisor}")
-        counts.append(int(tally) // divisor)
+        counts.append(tally // divisor)
     counts.append(counts[-1])
     for i in range(1, len(counts)):
         if counts[i] == counts[i - 1]:
@@ -830,13 +833,9 @@ def unit_group_brute(
     if total >= 1 << 62:
         raise ValueError("q^n too large to pack element keys into 64 bits")
 
-    analysis = _brute_analysis(n, q)
     parts = []
-    for ell in sorted(analysis.levels):
-        level_id, level_x = analysis.levels[ell]
-        level = level_x if modulo_x else level_id
-        mask = analysis.restricted if restricted else None
-        counts = _torsion_series(level, mask, n if modulo_x else 1)
+    for ell, histograms in _brute_analysis(n, q).items():
+        counts = _torsion_series(histograms[restricted, modulo_x], n if modulo_x else 1)
         part = structure_from_torsion_counts(ell, counts)
         if not part.is_trivial:
             parts.append(part)

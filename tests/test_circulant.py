@@ -1,11 +1,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sandpiles.abelian import TRIVIAL_GROUP, direct_sum, from_cyclic_orders
 from sandpiles.circulant import (
     DEFAULT_ENUMERATION_CAP,
+    _BitKernel,
+    _DigitKernel,
+    _candidate_primes,
+    _compute_levels,
+    _level_histograms,
     FiniteField,
     RingElement,
     circulant_group_coprime,
@@ -248,3 +254,66 @@ def test_unit_counts_by_direct_filter():
         star, _ = star_group_closed(n, q)
         assert restricted == star.order
         assert units == star.order * (q - 1)
+
+
+def test_bit_kernel_parity_matches_popcount():
+    values = np.random.default_rng(7).integers(0, 1 << 62, size=2000, dtype=np.int64)
+    values[:3] = (0, 1, (1 << 62) - 1)
+    mask = _BitKernel(62, 2).restricted_mask(values[None, :])
+    assert mask.tolist() == [bin(int(v)).count("1") & 1 == 1 for v in values]
+
+
+def _decode(kernel, key, field):
+    """The ring element with the given key, read off each kernel's layout."""
+    n, q = kernel.n, kernel.q
+    if isinstance(kernel, _BitKernel):
+        coeffs = [
+            sum(((key >> (u * n + j)) & 1) << u for u in range(kernel.r)) for j in range(n)
+        ]
+    else:
+        coeffs = [(key // q**j) % q for j in range(n)]
+    return RingElement(field, n, tuple(coeffs))
+
+
+def _reference_levels(g, ell, one, x_powers):
+    """Least i with g^(ell^i) = 1 and least i with g^(ell^i) in <x> (-1 when
+    never), by powering until the sequence g^(ell^i) repeats."""
+    level_id = level_x = -1
+    seen = set()
+    h, i = g, 0
+    while h not in seen:
+        if level_id < 0 and h == one:
+            level_id = i
+        if level_x < 0 and h in x_powers:
+            level_x = i
+        seen.add(h)
+        h, i = h**ell, i + 1
+    return level_id, level_x
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9)])
+def test_gathered_levels_match_ring_powers(n, q):
+    kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
+    population = kernel.build_population(q**n)
+    in_x = np.zeros(q**n, dtype=bool)
+    in_x[kernel.x_keys()] = True
+    field = field_for(q)
+    elements = [_decode(kernel, key, field) for key in range(q**n)]
+    one = RingElement.one(field, n)
+    x_powers = {RingElement.x_power(field, n, t) for t in range(n)}
+    for ell in _candidate_primes(n, q):
+        level_id, level_x = _compute_levels(kernel, population, in_x, ell)
+        expected = [_reference_levels(g, ell, one, x_powers) for g in elements]
+        assert level_id.tolist() == [e[0] for e in expected]
+        assert level_x.tolist() == [e[1] for e in expected]
+
+
+@pytest.mark.parametrize("n, q", [(10, 2), (5, 4), (4, 8)])
+def test_digit_and_bit_kernels_agree_in_characteristic_two(n, q):
+    digit = _level_histograms(_DigitKernel(n, q))
+    bit = _level_histograms(_BitKernel(n, q))
+    assert digit.keys() == bit.keys()
+    for ell in digit:
+        assert digit[ell].keys() == bit[ell].keys()
+        for mode in digit[ell]:
+            assert digit[ell][mode].tolist() == bit[ell][mode].tolist()
