@@ -31,6 +31,7 @@ from .circulant import (
     quotient_p_torsion_counts,
     star_group_closed,
     unit_group_brute,
+    unit_group_closed,
 )
 from .closed_form import (
     c_value,
@@ -90,6 +91,7 @@ __all__ = [
     "quotient_p_torsion_counts",
     "star_group_closed",
     "unit_group_brute",
+    "unit_group_closed",
     "c_value",
     "cyclotomic_cosets",
     "d_sequence",

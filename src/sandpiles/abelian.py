@@ -140,10 +140,6 @@ def is_isomorphic(a: AbelianGroup, b: AbelianGroup) -> bool:
     return a.invariant_factors == b.invariant_factors
 
 
-def order(a: AbelianGroup) -> int:
-    return a.order
-
-
 def structure_from_torsion_counts(p: int, counts) -> AbelianGroup:
     """Reconstruct an abelian p-group from its torsion counts.
 

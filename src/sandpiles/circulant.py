@@ -46,27 +46,26 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by monic-leading b over F_p (coefficients ascending)."""
+def _poly_mod(a: list[int], b: list[int], field: "FiniteField") -> list[int]:
+    """Remainder of a by b over the field (coefficients ascending, b[-1] != 0)."""
     a = a[:]
-    inv_lead = pow(b[-1], -1, p)
+    inv_lead = field.inv(b[-1])
     while len(a) >= len(b) and a:
-        coef = a[-1] * inv_lead % p
+        coef = field.mul(a[-1], inv_lead)
         shift = len(a) - len(b)
         for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
+            a[shift + i] = field.sub(a[shift + i], field.mul(coef, bc))
         _poly_trim(a)
     return a
 
 
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
+def _is_irreducible(poly: list[int], prime: "FiniteField") -> bool:
+    """Whether poly (degree >= 2, over the prime field) has no proper monic factor."""
+    p, deg = prime.p, len(poly) - 1
     for low_deg in range(1, deg // 2 + 1):
         for idx in range(p**low_deg):
             div = _digits_of(idx, p, low_deg) + [1]
-            if not _poly_mod(poly, div, p):
+            if not _poly_mod(poly, div, prime):
                 return False
     return True
 
@@ -85,6 +84,9 @@ class FiniteField:
     The integer encoding is positional base p: the element sum(c_t y^t) is
     the integer sum(c_t p^t), where y is a root of the modulus.  The modulus
     is the least monic irreducible of degree r in this encoding.
+
+    Two O(r^2) tables, also read by the enumeration kernels: ``reduction[s]``
+    holds the digits of y^s for s < 2r - 1, ``frobenius_rows[u]`` those of (y^u)^p.
     """
 
     def __init__(self, p: int, r: int = 1):
@@ -95,12 +97,22 @@ class FiniteField:
         self.p = p
         self.r = r
         self.q = p**r
-        for idx in range(self.q):
-            poly = _digits_of(idx, p, r) + [1]
-            if _is_irreducible(poly, p):
-                self.modulus = tuple(poly)
-                break
-        self._mul_cache: dict[tuple[int, int], int] = {}
+        if r == 1:
+            self.modulus = (0, 1)
+        else:
+            prime = field_for(p)
+            for idx in range(self.q):
+                poly = _digits_of(idx, p, r) + [1]
+                if _is_irreducible(poly, prime):
+                    self.modulus = tuple(poly)
+                    break
+        # Past y^(r-1), y^s = y * y^(s-1) with y^r = -(m_0 + m_1 y + ... + m_(r-1) y^(r-1)).
+        self.reduction = [[int(t == s) for t in range(r)] for s in range(r)]
+        for _ in range(r - 1):
+            last = self.reduction[-1]
+            shifted = [0] + last[:-1]
+            self.reduction.append([(shifted[t] - last[-1] * self.modulus[t]) % p for t in range(r)])
+        self.frobenius_rows = [self._to_digits(self.pow(p**u, p)) for u in range(r)]
 
     def _to_digits(self, a: int) -> list[int]:
         return _digits_of(a, self.p, self.r)
@@ -122,23 +134,20 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        p, r = self.p, self.r
+        """Digit convolution, then each y^s folded back through reduction[s]."""
+        r = self.r
         da, db = self._to_digits(a), self._to_digits(b)
         prod = [0] * (2 * r - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_mod(prod, list(self.modulus), p)
-        rem += [0] * (r - len(rem))
-        result = self._from_digits(rem)
-        if len(self._mul_cache) < 1 << 18:
-            self._mul_cache[key] = result
-        return result
+                    prod[i + j] += x * y
+        out = [0] * r
+        for c, row in zip(prod, self.reduction):
+            if c:
+                for t, w in enumerate(row):
+                    out[t] += c * w
+        return self._from_digits([c % self.p for c in out])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -166,10 +175,7 @@ class FiniteField:
 
 @lru_cache(maxsize=None)
 def field_for(q: int) -> FiniteField:
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"{q} is not a prime power")
-    return FiniteField(*pp)
+    return FiniteField(*_ring_args(1, q))
 
 
 @dataclass(frozen=True)
@@ -230,34 +236,16 @@ class RingElement:
         return total
 
 
-def _ring_poly_gcd_is_one(c: RingElement) -> bool:
-    """gcd(c(x), x^n - 1) = 1 over F_q, by the Euclidean algorithm."""
+def is_unit(c: RingElement) -> bool:
+    """Whether c is invertible in F_q[x]/(x^n - 1): gcd(c(x), x^n - 1) = 1
+    over F_q, by the Euclidean algorithm (c = 0 leaves x^n - 1 itself)."""
     f = c.field
     a = [0] * c.n + [1]
     a[0] = f.neg(1)  # x^n - 1
     b = _poly_trim(list(c.coeffs))
     while b:
-        a, b = b, _poly_mod_field(a, b, f)
+        a, b = b, _poly_mod(a, b, f)
     return len(a) == 1  # nonzero constant
-
-
-def _poly_mod_field(a: list[int], b: list[int], f: FiniteField) -> list[int]:
-    a = a[:]
-    inv_lead = f.inv(b[-1])
-    while len(a) >= len(b) and a:
-        coef = f.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = f.sub(a[shift + i], f.mul(coef, bc))
-        _poly_trim(a)
-    return a
-
-
-def is_unit(c: RingElement) -> bool:
-    """Whether c is invertible in F_q[x]/(x^n - 1)."""
-    if all(x == 0 for x in c.coeffs):
-        return False
-    return _ring_poly_gcd_is_one(c)
 
 
 def is_restricted_unit(c: RingElement) -> bool:
@@ -270,11 +258,24 @@ def is_restricted_unit(c: RingElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_prime_power(q: int) -> tuple[int, int]:
+class NoClosedForm(ValueError):
+    """No closed decomposition covers these parameters; enumerate instead."""
+
+
+def _ring_args(n: int, q: int) -> tuple[int, int]:
+    """Validate the ring F_q[x]/(x^n - 1): q = p^r and n >= 1; returns (p, r)."""
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"{q} is not a prime power")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     return pp
+
+
+def _coprime_args(m: int, q: int) -> None:
+    _ring_args(m, q)
+    if math.gcd(m, q) != 1:
+        raise ValueError(f"need gcd(m, q) = 1, got gcd({m}, {q}) != 1")
 
 
 def circulant_group_coprime(m: int, q: int) -> AbelianGroup:
@@ -283,28 +284,20 @@ def circulant_group_coprime(m: int, q: int) -> AbelianGroup:
     This is literally the sand dune group Sigma(m, q) and shares its
     construction.
     """
-    _require_prime_power(q)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if math.gcd(m, q) != 1:
-        raise ValueError(f"need gcd(m, q) = 1, got gcd({m}, {q}) != 1")
+    _coprime_args(m, q)
     return sand_dune_group(m, q)
 
 
 def circulant_quotient_coprime(m: int, q: int) -> AbelianGroup:
     """C'(m, q)/<x> for gcd(m, q) = 1: equals the sandpile group S(m, q)."""
-    _require_prime_power(q)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if math.gcd(m, q) != 1:
-        raise ValueError(f"need gcd(m, q) = 1, got gcd({m}, {q}) != 1")
+    _coprime_args(m, q)
     return sandpile_group(m, q)
 
 
 def relation_exponents(m: int, q: int) -> dict[int, int]:
     """The exponents r_v = (q^o(v) - 1) / (m / gcd(m, v)) of the quotient
     presentation of C'(m, q)/<x> (exposed for property tests)."""
-    _require_prime_power(q)
+    _ring_args(m, q)
     cs = cyclotomic_cosets(m, q)
     out = {}
     for orbit in cs.orbits:
@@ -319,20 +312,26 @@ def relation_exponents(m: int, q: int) -> dict[int, int]:
     return out
 
 
-def circulant_star_group_prime(n: int, p: int) -> AbelianGroup:
-    """C'(n, p) for prime p and any n = p^k * m: a p-power tower plus the
-    coprime part C'(m, p)."""
-    if not is_prime(p):
+def _sylow_tower(n: int, p: int) -> tuple[list[int], int]:
+    """The p-power tower of C'(n, p) for prime p and n = p^k * m with
+    gcd(m, p) = 1: Z_{p^(k-1-i)} with multiplicity p^i (p-1)^2 m for i < k - 1,
+    then (p-1) m copies of Z_{p^k}, listed last.  Returns the orders and m."""
+    if _ring_args(n, p)[1] != 1:
         raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = nu(n, p) if n % p == 0 else 0
+    k = nu(n, p)
     m = n // p**k
     orders: list[int] = []
     if k >= 1:
         for i in range(k - 1):
             orders.extend([p ** (k - 1 - i)] * (p**i * (p - 1) ** 2 * m))
         orders.extend([p**k] * ((p - 1) * m))
+    return orders, m
+
+
+def circulant_star_group_prime(n: int, p: int) -> AbelianGroup:
+    """C'(n, p) for prime p and any n = p^k * m: a p-power tower plus the
+    coprime part C'(m, p)."""
+    orders, m = _sylow_tower(n, p)
     return abelian.direct_sum(
         abelian.from_cyclic_orders(orders), circulant_group_coprime(m, p)
     )
@@ -345,19 +344,9 @@ def circulant_quotient_prime(n: int, p: int) -> AbelianGroup:
     The result is checked against the closed-form sandpile group S(n, p);
     a mismatch means an implementation bug and raises.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = nu(n, p) if n % p == 0 else 0
-    m = n // p**k
-    orders: list[int] = []
-    if k >= 1:
-        for i in range(k - 1):
-            orders.extend([p ** (k - 1 - i)] * (p**i * (p - 1) ** 2 * m))
-        orders.extend([p**k] * ((p - 1) * m - 1))
+    orders, m = _sylow_tower(n, p)
     result = abelian.direct_sum(
-        abelian.from_cyclic_orders(orders), circulant_quotient_coprime(m, p)
+        abelian.from_cyclic_orders(orders[:-1]), circulant_quotient_coprime(m, p)
     )
     expected = sandpile_group(n, p)
     if result != expected:
@@ -379,10 +368,8 @@ def p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[int]:
     With n = p^k * m (gcd(m, p) = 1), u^(p^i) = 1 iff (u - 1)^(p^i) = 0 iff
     (x^m - 1)^(p^(k-i)) divides u - 1, giving N_i = q^(n - m * p^(max(0,k-i))).
     """
-    p, _ = _require_prime_power(q)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = nu(n, p) if n % p == 0 else 0
+    p, _ = _ring_args(n, q)
+    k = nu(n, p)
     m = n // p**k
     if max_i is None:
         max_i = k + 1
@@ -396,10 +383,8 @@ def quotient_p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[
     by n.  The image of the p^i-power endomorphism meets <x> exactly in the
     powers x^(j p^i), so the tally is N_i * p^(k-i) for i <= k.
     """
-    p, _ = _require_prime_power(q)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = nu(n, p) if n % p == 0 else 0
+    p, _ = _ring_args(n, q)
+    k = nu(n, p)
     if p**k != n:
         raise ValueError(
             f"quotient torsion counts need n to be a power of char {p}; "
@@ -425,33 +410,47 @@ def star_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
     the coprime formula (valid for every n, q since p never divides
     q^o(v) - 1).
     """
-    p, r = _require_prime_power(q)
+    p, r = _ring_args(n, q)
     if math.gcd(n, q) == 1:
         return circulant_group_coprime(n, q), "closed_form"
     if r == 1:
         return circulant_star_group_prime(n, q), "closed_form"
-    k = nu(n, p)
-    m = n // p**k
+    m = n // p ** nu(n, p)
     sylow_p = structure_from_torsion_counts(p, p_torsion_counts(n, q))
     return abelian.direct_sum(sylow_p, circulant_group_coprime(m, q)), "torsion_counts"
 
 
 def quotient_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
-    """C'(n, q)/<x> by the best available closed route, with a method tag."""
-    p, r = _require_prime_power(q)
+    """C'(n, q)/<x> by the best available closed route, with a method tag.
+
+    Raises NoClosedForm for a proper extension field and a modulus that is
+    neither coprime to q nor a power of the characteristic.
+    """
+    p, r = _ring_args(n, q)
     if math.gcd(n, q) == 1:
         return circulant_quotient_coprime(n, q), "closed_form"
     if r == 1:
         return circulant_quotient_prime(n, q), "closed_form"
-    k = nu(n, p)
-    m = n // p**k
-    if m == 1:
+    if n == p ** nu(n, p):
         counts = quotient_p_torsion_counts(n, q)
         return structure_from_torsion_counts(p, counts), "torsion_counts"
-    raise ValueError(
+    raise NoClosedForm(
         f"no closed decomposition of C'({n}, {q})/<x> with q = p^{r}, r > 1 "
         f"and a mixed modulus; use the brute-force enumerator"
     )
+
+
+def unit_group_closed(
+    n: int, q: int, restricted: bool = False, modulo_x: bool = False
+) -> tuple[AbelianGroup, str]:
+    """C(n, q), C'(n, q), or either modulo <x> by the closed routes, with a
+    method tag.  C = C' + Z_{q-1}: the constants F_q^* complement C', the
+    kernel of evaluation at x = 1, and <x> lies inside C', so the quotient
+    splits the same way.  Raises NoClosedForm as quotient_group_closed does."""
+    base, method = quotient_group_closed(n, q) if modulo_x else star_group_closed(n, q)
+    if restricted:
+        return base, method
+    return abelian.direct_sum(base, abelian.from_cyclic_orders([q - 1])), method
 
 
 # ---------------------------------------------------------------------------
@@ -480,30 +479,16 @@ class _DigitKernel:
     """
 
     def __init__(self, n: int, q: int):
-        self.p, self.r = _require_prime_power(q)
+        self.p, self.r = _ring_args(n, q)
         self.q = q
         self.n = n
         self.digit_dtype = np.uint8 if self.p < 256 else np.int64
         bound = n * self.r * (self.p - 1) ** 2 * (1 + (self.r - 1) * (self.p - 1))
         self.acc_dtype = np.int32 if bound < 1 << 31 else np.int64
-        self.field = field_for(q) if self.r > 1 else None
-        if self.field is not None:
-            # y^s mod modulus for s = 0..2r-2, as base-p digit rows.
-            red = []
-            for s in range(2 * self.r - 1):
-                rem = _poly_mod([0] * s + [1], list(self.field.modulus), self.p)
-                rem += [0] * (self.r - len(rem))
-                red.append(rem)
-            self.y_reduction = np.array(red, dtype=np.int64)
-            self.frobenius_lut = np.array(
-                [self.field.frobenius(a) for a in range(self.q)], dtype=np.int64
-            )
-        digit_count = n * self.r
+        self.field = field_for(q)
+        self.frobenius_matrix = np.array(self.field.frobenius_rows, dtype=self.acc_dtype)
         self.pack_weights = (
-            np.array([self.p], dtype=np.int64) ** np.arange(digit_count, dtype=np.int64)
-        )
-        self.coeff_weights = (
-            np.array([self.p], dtype=np.int64) ** np.arange(self.r, dtype=np.int64)
+            np.array([self.p], dtype=np.int64) ** np.arange(n * self.r, dtype=np.int64)
         )
 
     def build_population(self, total: int) -> np.ndarray:
@@ -574,24 +559,19 @@ class _DigitKernel:
         out = acc[:, :, :r]
         for s in range(r, 2 * r - 1):
             col = acc[:, :, s]
-            for t in range(r):
-                c = int(self.y_reduction[s, t])
+            for t, c in enumerate(self.field.reduction[s]):
                 if c:
                     out[:, :, t] += c * col
         return (out % self.p).astype(self.digit_dtype)
 
     def _frobenius(self, block: np.ndarray) -> np.ndarray:
         """block ** p via the characteristic-p shortcut: coefficientwise
-        Frobenius plus the monomial substitution x^j -> x^(j p mod n)."""
+        Frobenius (the F_p-linear map with the field's frobenius_rows) plus
+        the monomial substitution x^j -> x^(j p mod n)."""
         n, p = self.n, self.p
-        if self.r == 1:
-            coeffs = block
-        else:
-            packed = block.astype(np.int64) @ self.coeff_weights
-            mapped = self.frobenius_lut[packed]
-            coeffs = (
-                (mapped[..., None] // self.coeff_weights[None, None, :]) % p
-            ).astype(self.digit_dtype)
+        coeffs = block
+        if self.r > 1:
+            coeffs = (block @ self.frobenius_matrix % p).astype(self.digit_dtype)
         targets = (np.arange(n, dtype=np.int64) * p) % n
         if len(set(targets.tolist())) == n:
             out = np.zeros_like(coeffs)
@@ -615,23 +595,13 @@ class _BitKernel:
     """
 
     def __init__(self, n: int, q: int):
-        self.p, self.r = _require_prime_power(q)
+        self.p, self.r = _ring_args(n, q)
         if self.p != 2:
             raise ValueError("bit kernel requires characteristic 2")
         self.q = q
         self.n = n
         self.bit_mask = (1 << n) - 1
-        if self.r > 1:
-            field = field_for(q)
-            self.y_reduction = []
-            for s in range(2 * self.r - 1):
-                rem = _poly_mod([0] * s + [1], list(field.modulus), 2)
-                rem += [0] * (self.r - len(rem))
-                self.y_reduction.append(rem)
-            # Frobenius of y^u as 0/1 rows: (y^u)^2 = y^(2u) mod modulus.
-            self.frobenius_rows = [
-                _digits_of(field.frobenius(1 << u), 2, self.r) for u in range(self.r)
-            ]
+        self.field = field_for(q)
 
     def build_population(self, total: int) -> np.ndarray:
         ids = np.arange(total, dtype=np.int64)
@@ -680,7 +650,7 @@ class _BitKernel:
         out = conv[:r]
         for s in range(r, 2 * r - 1):
             for t in range(r):
-                if self.y_reduction[s][t]:
+                if self.field.reduction[s][t]:
                     out[t] ^= conv[s]
         return np.stack(out)
 
@@ -695,7 +665,7 @@ class _BitKernel:
             for t in range(r):
                 acc = np.zeros_like(block[0])
                 for u in range(r):
-                    if self.frobenius_rows[u][t]:
+                    if self.field.frobenius_rows[u][t]:
                         acc ^= block[u]
                 planes.append(acc)
         moved = []
@@ -729,7 +699,7 @@ class _BitKernel:
 def _candidate_primes(n: int, q: int) -> list[int]:
     """Every prime that can divide |C(n, q)|: p, and the primes of q^o - 1
     where o is the order of q modulo the p-free part of n."""
-    p, _ = _require_prime_power(q)
+    p, _ = _ring_args(n, q)
     m = n // p ** nu(n, p)
     field_order = multiplicative_order(q, m) if m > 1 else 1
     return sorted({p} | set(prime_factors(q**field_order - 1)))
@@ -820,9 +790,7 @@ def unit_group_brute(
     number of ring elements q^n must not exceed the cap (argument, else the
     SANDPILE_BRUTE_CAP environment variable, else 2^22).
     """
-    _require_prime_power(q)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _ring_args(n, q)
     limit = enumeration_cap(cap)
     total = q**n
     if total > limit:

@@ -16,14 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import abelian
-from .arith import prime_power
-from .circulant import (
-    enumeration_cap,
-    quotient_group_closed,
-    star_group_closed,
-    unit_group_brute,
-)
+from .circulant import NoClosedForm, enumeration_cap, unit_group_brute, unit_group_closed
 from .closed_form import sand_dune_group, sandpile_group, sigma_relation_matrix
 from .digraphs import (
     build_consecutive_d,
@@ -123,45 +116,24 @@ def _cmd_snf(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
-def _circulant_closed(n: int, q: int, restricted: bool, mod_x: bool):
-    base, method = (
-        quotient_group_closed(n, q) if mod_x else star_group_closed(n, q)
-    )
-    if restricted:
-        return base, method
-    # The full unit group adds the scalar subgroup F_q^* on top of the
-    # restricted one; <x> sits inside the restricted part, so the same
-    # splitting works for the quotient.
-    return abelian.direct_sum(base, abelian.from_cyclic_orders([q - 1])), method
-
-
 def _cmd_circulant(args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.perf_counter()
     n, q = args.n, args.q
-    if prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    mode = {"restricted": args.restricted, "modulo_x": args.mod_x}
     if args.brute:
-        group = unit_group_brute(
-            n, q, restricted=args.restricted, modulo_x=args.mod_x, cap=args.cap
-        )
-        method = "brute"
-    elif args.closed:
-        group, method = _circulant_closed(n, q, args.restricted, args.mod_x)
+        group, method = unit_group_brute(n, q, cap=args.cap, **mode), "brute"
     else:
         try:
-            group, method = _circulant_closed(n, q, args.restricted, args.mod_x)
-        except ValueError:
+            group, method = unit_group_closed(n, q, **mode)
+        except NoClosedForm:
+            if args.closed:
+                raise
             print(
                 f"no closed decomposition for this case; enumerating "
                 f"{q}^{n} ring elements",
                 file=sys.stderr,
             )
-            group = unit_group_brute(
-                n, q, restricted=args.restricted, modulo_x=args.mod_x, cap=args.cap
-            )
-            method = "brute"
+            group, method = unit_group_brute(n, q, cap=args.cap, **mode), "brute"
     doc = {
         "command": "circulant",
         "n": n,
@@ -195,7 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         print(message, file=sys.stderr, flush=True)
 
     try:
-        totals = run_all(config, progress=progress)
+        checks, seconds = run_all(config, progress=progress)
     except VerificationFailure as failure:
         print(f"verification failed: {failure}", file=sys.stderr)
         doc.update(
@@ -204,8 +176,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         return doc, 1
     doc.update(
         passed=True,
-        checks={name: count for name, count in totals.items()},
-        total_comparisons=sum(totals.values()),
+        checks=checks,
+        total_comparisons=sum(checks.values()),
+        seconds=seconds,
         elapsed_ms=_elapsed_ms(t0),
     )
     return doc, 0

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import abelian
 from .abelian import AbelianGroup
-from .arith import factorize, multiplicative_order, nu
+from .arith import factorize, nu
 from .exact_linalg import IntMatrix
 
 __all__ = [
@@ -46,14 +46,7 @@ __all__ = [
     "membership_in_sandpile",
     "sandpile_generators",
     "sigma_relation_matrix",
-    "multiplicative_order",
-    "nu_p",
 ]
-
-
-def nu_p(x: int, p: int) -> int:
-    """p-adic valuation (re-exported next to multiplicative_order)."""
-    return nu(x, p)
 
 
 def _check_d(d: int) -> int:

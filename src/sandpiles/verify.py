@@ -12,6 +12,7 @@ scale for the command-line front end.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,48 +44,34 @@ def _signed(d_max: int):
 # ---------------------------------------------------------------------------
 
 
-def check_de_bruijn_main(n_max: int = 60, d_max: int = 8, progress: Progress = None) -> int:
-    """S(n, d) vs the Smith form of the reduced de Bruijn Laplacian, and
-    Sigma(n, d) vs the Smith form of the sigma relation matrix."""
+def check_family_main(
+    n_max: int = 60, d_max: int = 8, sign: int = 1, progress: Progress = None
+) -> int:
+    """For the de Bruijn family (sign = 1) or the Kautz family (sign = -1):
+    S(n, sign*d) vs the Smith form of the reduced Laplacian, and
+    Sigma(n, sign*d) vs the Smith form of the sigma relation matrix."""
+    family, label, build = (
+        ("de_bruijn", "de Bruijn", digraphs.de_bruijn)
+        if sign > 0
+        else ("kautz", "Kautz", digraphs.kautz)
+    )
     checks = 0
     for d in range(2, d_max + 1):
         if progress:
-            progress(f"de Bruijn sweep d={d}, n up to {n_max}")
+            progress(f"{label} sweep d={d}, n up to {n_max}")
         for n in range(2, n_max + 1):
-            oracle = digraphs.sandpile_group_snf(digraphs.de_bruijn(n, d), 0)
-            closed = closed_form.sandpile_group(n, d)
+            oracle = digraphs.sandpile_group_snf(build(n, d), 0)
+            closed = closed_form.sandpile_group(n, sign * d)
             if oracle != closed:
-                _fail("de_bruijn sandpile", f"(n, d)=({n}, {d})",
+                _fail(f"{family} sandpile", f"(n, d)=({n}, {d})",
                       f"SNF oracle {oracle} vs closed form {closed}")
-            free, torsion = smith_group(closed_form.sigma_relation_matrix(n, d))
-            closed_sigma = closed_form.sand_dune_group(n, d)
+            free, torsion = smith_group(closed_form.sigma_relation_matrix(n, sign * d))
+            closed_sigma = closed_form.sand_dune_group(n, sign * d)
             if free != 0:
-                _fail("sigma matrix rank", f"(n, d)=({n}, {d})",
+                _fail(f"{family} sigma matrix rank", f"(n, d)=({n}, {d})",
                       f"free rank {free}, expected 0")
             if torsion != closed_sigma:
-                _fail("de_bruijn sand dune", f"(n, d)=({n}, {d})",
-                      f"SNF oracle {torsion} vs closed form {closed_sigma}")
-            checks += 2
-    return checks
-
-
-def check_kautz_main(n_max: int = 60, d_max: int = 8, progress: Progress = None) -> int:
-    """S(n, -d) vs the Smith form of the reduced Kautz Laplacian, and
-    Sigma(n, -d) vs the sigma relation matrix with negative d."""
-    checks = 0
-    for d in range(2, d_max + 1):
-        if progress:
-            progress(f"Kautz sweep d={d}, n up to {n_max}")
-        for n in range(2, n_max + 1):
-            oracle = digraphs.sandpile_group_snf(digraphs.kautz(n, d), 0)
-            closed = closed_form.sandpile_group(n, -d)
-            if oracle != closed:
-                _fail("kautz sandpile", f"(n, d)=({n}, {d})",
-                      f"SNF oracle {oracle} vs closed form {closed}")
-            free, torsion = smith_group(closed_form.sigma_relation_matrix(n, -d))
-            closed_sigma = closed_form.sand_dune_group(n, -d)
-            if free != 0 or torsion != closed_sigma:
-                _fail("kautz sand dune", f"(n, d)=({n}, {d})",
+                _fail(f"{family} sand dune", f"(n, d)=({n}, {d})",
                       f"SNF oracle {torsion} vs closed form {closed_sigma}")
             checks += 2
     return checks
@@ -388,7 +375,7 @@ def check_circulant_brute(
                 _fail("brute star", f"(n, q)=({n}, {q})",
                       f"enumeration {star_brute} vs closed {star_closed}")
             full_brute = circulant.unit_group_brute(n, q, cap=limit)
-            full_closed = abelian.direct_sum(star_closed, abelian.from_cyclic_orders([q - 1]))
+            full_closed, _ = circulant.unit_group_closed(n, q)
             if full_brute != full_closed:
                 _fail("brute full group", f"(n, q)=({n}, {q})",
                       f"enumeration {full_brute} vs closed {full_closed}")
@@ -397,7 +384,7 @@ def check_circulant_brute(
             )
             try:
                 quotient_closed, _ = circulant.quotient_group_closed(n, q)
-            except ValueError:
+            except circulant.NoClosedForm:
                 quotient_closed = None
             if quotient_closed is not None and quotient_brute != quotient_closed:
                 _fail("brute quotient", f"(n, q)=({n}, {q})",
@@ -496,22 +483,33 @@ class SweepConfig:
     brute_cap: int | None = None
 
 
-def run_all(config: SweepConfig | None = None, progress: Progress = None) -> dict[str, int]:
-    """Run every sweep at the configured scale; returns check counts by name.
+def _witness_checks() -> int:
+    witness_non_isomorphism()
+    return 3
+
+
+def run_all(
+    config: SweepConfig | None = None, progress: Progress = None
+) -> tuple[dict[str, int], dict[str, float]]:
+    """Run every sweep at the configured scale; returns the check counts and
+    the wall seconds of each sweep, both keyed by sweep name.
 
     Raises VerificationFailure on the first disagreement.
     """
     cfg = config or SweepConfig()
     small_n = min(cfg.n_max, 40)
-    results: dict[str, int] = {}
+    checks: dict[str, int] = {}
+    seconds: dict[str, float] = {}
 
-    def run(name: str, fn, *args, **kwargs) -> None:
+    def run(name: str, fn, *args) -> None:
         if progress:
             progress(f"[{name}] starting")
-        results[name] = fn(*args, **kwargs)
+        t0 = time.perf_counter()
+        checks[name] = fn(*args)
+        seconds[name] = round(time.perf_counter() - t0, 3)
 
-    run("de_bruijn_main", check_de_bruijn_main, cfg.n_max, cfg.d_max, progress)
-    run("kautz_main", check_kautz_main, cfg.n_max, cfg.d_max, progress)
+    run("de_bruijn_main", check_family_main, cfg.n_max, cfg.d_max, 1, progress)
+    run("kautz_main", check_family_main, cfg.n_max, cfg.d_max, -1, progress)
     run("index_identity", check_index_identity, cfg.n_max, cfg.d_max)
     run("order_recursion", check_order_recursion, cfg.n_max, cfg.d_max)
     run("crt_split", check_crt_split, cfg.n_max, cfg.d_max)
@@ -526,8 +524,5 @@ def run_all(config: SweepConfig | None = None, progress: Progress = None) -> dic
     run("x_subgroup", check_x_subgroup, min(cfg.n_max, 16), cfg.q_max)
     run("circulant_brute", check_circulant_brute, small_n, cfg.q_max, cfg.brute_cap, progress)
     run("order_lifting", check_order_lifting)
-    if progress:
-        progress("[non_isomorphism_witness] starting")
-    witness_non_isomorphism()
-    results["non_isomorphism_witness"] = 3
-    return results
+    run("non_isomorphism_witness", _witness_checks)
+    return checks, seconds

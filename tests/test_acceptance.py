@@ -15,10 +15,9 @@ from sandpiles.verify import (
     check_circulant_brute,
     check_circulant_coprime,
     check_circulant_prime,
-    check_de_bruijn_main,
+    check_family_main,
     check_generators,
     check_index_identity,
-    check_kautz_main,
     check_order_lifting,
     check_torsion_oracle,
     check_tree_counts,
@@ -64,12 +63,12 @@ def test_criterion_01_single_case_under_a_second(capsys):
 
 def test_criterion_02_de_bruijn_sweep(capsys):
     with criterion(capsys, 2, "de Bruijn sweep n<=60 d<=8 vs Smith oracles", budget=120.0):
-        assert check_de_bruijn_main(60, 8) == 2 * 59 * 7
+        assert check_family_main(60, 8, 1) == 2 * 59 * 7
 
 
 def test_criterion_03_kautz_sweep(capsys):
     with criterion(capsys, 3, "Kautz sweep n<=60 d<=8 vs Smith oracles", budget=120.0):
-        assert check_kautz_main(60, 8) == 2 * 59 * 7
+        assert check_family_main(60, 8, -1) == 2 * 59 * 7
 
 
 def test_criterion_04_index_identity(capsys):

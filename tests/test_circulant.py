@@ -13,6 +13,7 @@ from sandpiles.circulant import (
     _compute_levels,
     _level_histograms,
     FiniteField,
+    NoClosedForm,
     RingElement,
     circulant_group_coprime,
     circulant_quotient_coprime,
@@ -28,6 +29,7 @@ from sandpiles.circulant import (
     relation_exponents,
     star_group_closed,
     unit_group_brute,
+    unit_group_closed,
 )
 from sandpiles.closed_form import sand_dune_group, sandpile_group
 
@@ -183,6 +185,25 @@ def test_closed_dispatchers():
         quotient_group_closed(6, 4)  # mixed modulus over a proper extension
 
 
+def test_unit_group_closed_modes():
+    # C = C' + Z_{q-1} in both the plain and the quotient mode.
+    for n, q in ((5, 4), (12, 2), (6, 4), (4, 4), (9, 3), (10, 9)):
+        star, star_method = star_group_closed(n, q)
+        constants = from_cyclic_orders([q - 1])
+        assert unit_group_closed(n, q, restricted=True) == (star, star_method)
+        assert unit_group_closed(n, q) == (direct_sum(star, constants), star_method)
+        try:
+            quotient, method = quotient_group_closed(n, q)
+        except NoClosedForm:
+            continue
+        assert unit_group_closed(n, q, restricted=True, modulo_x=True) == (quotient, method)
+        assert unit_group_closed(n, q, modulo_x=True) == (direct_sum(quotient, constants), method)
+    with pytest.raises(NoClosedForm):
+        unit_group_closed(6, 4, restricted=True, modulo_x=True)
+    with pytest.raises(ValueError):
+        unit_group_closed(0, 4)
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.delenv("SANDPILE_BRUTE_CAP", raising=False)
     assert enumeration_cap() == DEFAULT_ENUMERATION_CAP
@@ -291,7 +312,7 @@ def _reference_levels(g, ell, one, x_powers):
     return level_id, level_x
 
 
-@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9)])
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9), (2, 25), (2, 27)])
 def test_gathered_levels_match_ring_powers(n, q):
     kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
     population = kernel.build_population(q**n)

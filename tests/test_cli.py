@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sandpiles import cli
 from sandpiles.abelian import from_cyclic_orders
@@ -128,6 +132,72 @@ def test_circulant_closed_refusal_and_cap(capsys):
     assert code == 2
 
 
+_small = st.integers(1, 12)
+_nonpositive = st.integers(-5, 0)
+_flags = st.sampled_from([[], ["--restricted"], ["--mod-x"], ["--restricted", "--mod-x"]])
+_routes = st.sampled_from([[], ["--brute"], ["--closed"]])
+
+
+@st.composite
+def _bad_family(draw):
+    """db/kautz with n <= 0, |d| < 2, d < 0 or a root outside 0..n-1."""
+    command = draw(st.sampled_from(["db", "kautz"]))
+    n, d, root = draw(_small), draw(st.integers(2, 9)), 0
+    fault = draw(st.sampled_from(["n", "small_d", "negative_d", "root"]))
+    if fault == "n":
+        n = draw(_nonpositive)
+    elif fault == "small_d":
+        d = draw(st.integers(-1, 1))
+    elif fault == "negative_d":
+        d = draw(st.integers(-9, -2))
+    else:
+        root = draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
+    return [command, str(n), str(d), "--root", str(root)]
+
+
+@st.composite
+def _bad_consecutive(draw):
+    """consecutive with n <= 0, d < 0, a multiplier = 0 mod n or a bad root."""
+    d, n, r, root = draw(st.integers(0, 4)), draw(_small), draw(st.integers(-3, 3)), 0
+    q = draw(st.integers(1, 3 * n))
+    if q % n == 0:
+        q += 1
+    fault = draw(st.sampled_from(["n", "d", "multiplier", "root"]))
+    if fault == "n":
+        n = draw(_nonpositive)
+    elif fault == "d":
+        d = draw(st.integers(-5, -1))
+    elif fault == "multiplier":
+        q = n * draw(st.integers(-3, 3))
+    else:
+        root = draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
+    return ["consecutive", str(d), str(n), str(q), str(r), "--root", str(root)]
+
+
+@st.composite
+def _bad_circulant(draw):
+    """circulant with n <= 0 or a q that is not a prime power."""
+    n, q = draw(_small), draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    if draw(st.booleans()):
+        n = draw(_nonpositive)
+    else:
+        q = draw(st.sampled_from([-4, 0, 1, 6, 10, 12, 15, 36, 100]))
+    return ["circulant", "--n", str(n), "--q", str(q)] + draw(_flags) + draw(_routes)
+
+
+@given(st.one_of(_bad_family(), _bad_consecutive(), _bad_circulant()))
+def test_out_of_range_arguments_exit_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if argv[0] == "circulant":
+        assert "enumerating" not in err.getvalue()
+
+
 def test_family_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sandpile_group", lambda n, d: from_cyclic_orders([999]))
     code, doc, err = run_cli(capsys, "db", "4", "3")
@@ -148,6 +218,8 @@ def test_verify_small_sweep(capsys):
     assert code == 0
     assert doc["passed"] is True
     assert doc["total_comparisons"] == sum(doc["checks"].values()) > 0
+    assert doc["seconds"].keys() == doc["checks"].keys()
+    assert all(s >= 0 for s in doc["seconds"].values())
     assert err  # progress chatter goes to stderr, not into the JSON
 
 
