@@ -18,14 +18,8 @@ from pathlib import Path
 
 from .circulant import NoClosedForm, enumeration_cap, unit_group_brute, unit_group_closed
 from .closed_form import sand_dune_group, sandpile_group, sigma_relation_matrix
-from .digraphs import (
-    build_consecutive_d,
-    de_bruijn,
-    kautz,
-    sandpile_group_snf,
-    spanning_tree_count,
-)
-from .exact_linalg import parse_matrix, smith_group, smith_normal_form
+from .digraphs import build_consecutive_d, de_bruijn, kautz, laplacian, sandpile_group_snf
+from .exact_linalg import determinant, parse_matrix, smith_group, smith_normal_form
 from .verify import SweepConfig, VerificationFailure, run_all
 
 
@@ -37,19 +31,25 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
     """db / kautz: closed forms and SNF oracles side by side."""
     t0 = time.perf_counter()
     n, d, root = args.n, args.d, args.root
+    signed_d = d if args.command == "db" else -d
+    # The closed forms need n >= 1 and |d| >= 2, the oracles a vertex as
+    # root: refuse before the dense n x n digraph is built.
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if abs(d) < 2:
+        raise ValueError(f"need |d| >= 2, got d = {signed_d}")
+    if not 0 <= root < n:
+        raise ValueError(f"vertex {root} outside 0..{n - 1}")
     if args.command == "db":
-        family = "de_bruijn"
-        graph = de_bruijn(n, d)
-        signed_d = d
+        family, graph = "de_bruijn", de_bruijn(n, d)
     else:
-        family = "kautz"
-        graph = kautz(n, d)
-        signed_d = -d
+        family, graph = "kautz", kautz(n, d)
     sandpile_closed = sandpile_group(n, signed_d)
     dune_closed = sand_dune_group(n, signed_d)
-    sandpile_snf = sandpile_group_snf(graph, root)
+    reduced = laplacian(graph, reduce_at=root)
+    _, sandpile_snf = smith_group(reduced)
     free_rank, dune_snf = smith_group(sigma_relation_matrix(n, signed_d))
-    trees = spanning_tree_count(graph, root)
+    trees = determinant(reduced)
     agrees = (
         sandpile_snf == sandpile_closed
         and free_rank == 0

@@ -198,6 +198,22 @@ def test_out_of_range_arguments_exit_two(argv):
         assert "enumerating" not in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "argv", [["db", "3000", "1"], ["kautz", "3000", "1"], ["db", "3000", "2", "--root", "3000"]]
+)
+def test_family_refuses_before_building_the_digraph(capsys, monkeypatch, argv):
+    def build(n, d):
+        raise RuntimeError("the digraph was built for arguments that are refused")
+
+    monkeypatch.setattr(cli, "de_bruijn", build)
+    monkeypatch.setattr(cli, "kautz", build)
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_family_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sandpile_group", lambda n, d: from_cyclic_orders([999]))
     code, doc, err = run_cli(capsys, "db", "4", "3")

@@ -10,7 +10,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sandpiles.abelian import TRIVIAL_GROUP, from_cyclic_orders
 from sandpiles.digraphs import de_bruijn, laplacian
 from sandpiles.exact_linalg import (
+    _STACK_BYTES,
     IntMatrix,
+    _crt_primes,
+    _hadamard_square,
+    _prime_bits,
     determinant,
     format_matrix,
     parse_matrix,
@@ -37,6 +41,47 @@ square_matrices = st.integers(min_value=1, max_value=5).flatmap(
         st.integers(min_value=-9, max_value=9), min_size=n * n, max_size=n * n
     ).map(lambda es: IntMatrix(n, n, tuple(es)))
 )
+# Small entries make singular and near-singular matrices; the wide ones reach
+# past int64, where residues are taken with Python integers.
+wide_square_matrices = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            st.integers(min_value=-(2**80), max_value=2**80),
+        ),
+        min_size=n * n,
+        max_size=n * n,
+    ).map(lambda es: IntMatrix(n, n, tuple(es)))
+)
+
+
+def bareiss_determinant(M: IntMatrix) -> int:
+    """Reference determinant by Bareiss fraction-free elimination."""
+    n = M.rows
+    if n == 0:
+        return 1
+    a = M.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            ri, rk = a[i], a[k]
+            lead = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - lead * rk[j]) // prev
+            ri[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def sympy_invariant_factors(M: IntMatrix) -> tuple[int, ...]:
@@ -156,6 +201,46 @@ def test_determinant_examples():
 @given(square_matrices)
 def test_determinant_matches_sympy(M):
     assert determinant(M) == int(sympy.Matrix(M.to_rows()).det())
+
+
+@given(wide_square_matrices)
+def test_determinant_wide_entries_match_sympy(M):
+    assert determinant(M) == int(sympy.Matrix(M.to_rows()).det())
+
+
+def test_determinant_residue_edge_cases():
+    # The leading entry is 0 mod the first prime only: that prime swaps rows.
+    p = _crt_primes(2, 1)[0]
+    assert determinant(IntMatrix.from_rows([[p, 1], [1, 1]])) == p - 1
+    # det = p1 * p2 is 0 mod the first two primes, both of which are used.
+    p1, p2 = _crt_primes(3, 2**200)[:2]  # the first two primes at n = 3
+    M = IntMatrix.from_rows([[p1, 0, 0], [1, p2, 0], [2, 3, 1]])
+    assert {p1, p2} <= set(_crt_primes(3, _hadamard_square(M)))
+    assert determinant(M) == p1 * p2
+    # Negative determinants after row swaps.
+    assert determinant(IntMatrix.from_rows([[0, 5], [3, 1]])) == -15
+    assert determinant(IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [7, 0, 0]])) == -7
+    # A zero row, and a singular matrix without one.
+    assert determinant(IntMatrix.from_rows([[1, 2], [0, 0]])) == 0
+    assert determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+
+
+def test_determinant_over_several_prime_stacks():
+    L = laplacian(de_bruijn(120, 5), reduce_at=0)
+    n = L.rows
+    assert len(_crt_primes(n, _hadamard_square(L))) > _STACK_BYTES // (8 * n * n)
+    assert determinant(L) == bareiss_determinant(L)
+
+
+@pytest.mark.parametrize("n", [1, 2048, 10**4])
+def test_prime_size_keeps_float64_sums_exact(n):
+    b = _prime_bits(n)
+    largest = _crt_primes(n, 1)[0]
+    assert largest < 2**b
+    assert largest**2 * n < 2**53
+    assert 4 ** (b + 1) * n > 2**53  # b is the largest size that is safe
+    if n == 2048:
+        assert b == 21
 
 
 def test_smith_group_examples():
