@@ -15,6 +15,9 @@ all-ones vector).  This module provides:
   reconstructs the Sylow p-subgroup without enumeration;
 * a vectorized brute-force enumerator (numpy) that computes any of these
   groups by counting torsion directly, for q^n up to a configurable cap.
+  It works in keys: an element's key is its enumeration index, the ring is
+  unpacked into kernel blocks one chunk of keys at a time, and the power
+  maps are kept as key arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -33,6 +36,9 @@ from .closed_form import cyclotomic_cosets, sand_dune_group, sandpile_group
 
 DEFAULT_ENUMERATION_CAP = 1 << 22
 _CHUNK_ROWS = 1 << 16
+# Peak bytes per ring element of one enumeration (tracemalloc), at least the
+# largest measured on rings of 2^18 elements or more.
+_BYTES_PER_ELEMENT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +465,26 @@ def unit_group_closed(
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the element cap: explicit argument, else SANDPILE_BRUTE_CAP,
-    else the default 2^22."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("SANDPILE_BRUTE_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_ENUMERATION_CAP
+    """Resolve the element cap: the explicit argument, else 2^22."""
+    return DEFAULT_ENUMERATION_CAP if cap is None else cap
+
+
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 class _DigitKernel:
     """Vectorized arithmetic for blocks of F_q[x]/(x^n - 1) elements, any p.
 
-    Elements are digit arrays: shape (N, n) of base-p digits when q = p,
-    else (N, n, r) holding the base-p digits of each coefficient.  Products
-    accumulate in int32 whenever the largest unreduced coefficient,
-    n r (p-1)^2 (1 + (r-1)(p-1)), fits, else in int64.
+    A block has shape (N, n, r): the base-p digits of each coefficient.
+    Digit t of coefficient j is digit j r + t of the element's key, so the
+    key is the element's enumeration index.  Products accumulate in int32
+    whenever the largest unreduced coefficient, n r (p-1)^2 (1 + (r-1)(p-1)),
+    fits, else in int64.
     """
 
     def __init__(self, n: int, q: int):
@@ -487,68 +496,29 @@ class _DigitKernel:
         self.acc_dtype = np.int32 if bound < 1 << 31 else np.int64
         self.field = field_for(q)
         self.frobenius_matrix = np.array(self.field.frobenius_rows, dtype=self.acc_dtype)
-        self.pack_weights = (
-            np.array([self.p], dtype=np.int64) ** np.arange(n * self.r, dtype=np.int64)
-        )
+        self.pack_weights = self.p ** np.arange(n * self.r, dtype=np.int64)
 
-    def build_population(self, total: int) -> np.ndarray:
-        blocks = []
-        for lo in range(0, total, _CHUNK_ROWS):
-            ids = np.arange(lo, min(lo + _CHUNK_ROWS, total), dtype=np.int64)
-            digits = (ids[:, None] // self.pack_weights[None, :]) % self.p
-            blocks.append(digits.astype(self.digit_dtype))
-        digits = np.concatenate(blocks)
-        if self.r == 1:
-            return digits
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        # One floor division by a scalar per digit: measured 1.6x faster than
+        # np.divmod and 6x faster than dividing by the array of weights.
+        digits = np.empty((keys.size, self.n * self.r), dtype=self.digit_dtype)
+        for t in range(self.n * self.r):
+            quotient = keys // self.p
+            digits[:, t] = keys - quotient * self.p
+            keys = quotient
         return digits.reshape(-1, self.n, self.r)
+
+    def pack(self, block: np.ndarray) -> np.ndarray:
+        return block.reshape(block.shape[0], -1) @ self.pack_weights
 
     def restricted_mask(self, block: np.ndarray) -> np.ndarray:
         sums = block.sum(axis=1, dtype=np.int64) % self.p
-        if self.r == 1:
-            return sums == 1
-        want = np.zeros(self.r, dtype=np.int64)
-        want[0] = 1
-        return (sums == want).all(axis=1)
-
-    def keys(self, block: np.ndarray) -> np.ndarray:
-        out = np.empty(block.shape[0], dtype=np.int64)
-        for lo in range(0, block.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, block.shape[0])
-            flat = block[lo:hi].reshape(hi - lo, -1).astype(np.int64)
-            out[lo:hi] = flat @ self.pack_weights
-        return out
+        return (sums[:, 0] == 1) & ~sums[:, 1:].any(axis=1)
 
     def x_keys(self) -> np.ndarray:
         return self.pack_weights[np.arange(self.n) * self.r]
 
-    def power(self, block: np.ndarray, e: int) -> np.ndarray:
-        """block ** e elementwise in the ring (e >= 1), chunked over rows."""
-        out = np.empty_like(block)
-        for lo in range(0, block.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, block.shape[0])
-            out[lo:hi] = self._power_chunk(block[lo:hi], e)
-        return out
-
-    def _power_chunk(self, block: np.ndarray, e: int) -> np.ndarray:
-        if e == self.p:
-            return self._frobenius(block)
-        multiply = self._conv_prime if self.r == 1 else self._conv_ext
-        bits = bin(e)[3:]
-        result = block
-        for bit in bits:
-            result = multiply(result, result)
-            if bit == "1":
-                result = multiply(result, block)
-        return result
-
-    def _conv_prime(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        acc = np.zeros(a.shape, dtype=self.acc_dtype)
-        wide = a.astype(self.acc_dtype)
-        for i in range(self.n):
-            acc += wide[:, i, None] * np.roll(b, i, axis=1)
-        return (acc % self.p).astype(self.digit_dtype)
-
-    def _conv_ext(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows, n, r = a.shape
         acc = np.zeros((rows, n, 2 * r - 1), dtype=self.acc_dtype)
         wide = a.astype(self.acc_dtype)
@@ -564,23 +534,23 @@ class _DigitKernel:
                     out[:, :, t] += c * col
         return (out % self.p).astype(self.digit_dtype)
 
-    def _frobenius(self, block: np.ndarray) -> np.ndarray:
+    def square(self, block: np.ndarray) -> np.ndarray:
+        return self.multiply(block, block)
+
+    def frobenius(self, block: np.ndarray) -> np.ndarray:
         """block ** p via the characteristic-p shortcut: coefficientwise
         Frobenius (the F_p-linear map with the field's frobenius_rows) plus
         the monomial substitution x^j -> x^(j p mod n)."""
         n, p = self.n, self.p
         coeffs = block
-        if self.r > 1:
-            coeffs = (block @ self.frobenius_matrix % p).astype(self.digit_dtype)
-        targets = (np.arange(n, dtype=np.int64) * p) % n
-        if len(set(targets.tolist())) == n:
-            out = np.zeros_like(coeffs)
-            out[:, targets] = coeffs
-            return out
-        acc = np.zeros(coeffs.shape, dtype=np.int64)
-        for j in range(n):
-            acc[:, targets[j]] += coeffs[:, j]
-        return (acc % p).astype(self.digit_dtype)
+        if self.r > 1:  # at r = 1 the map is the identity
+            coeffs = block @ self.frobenius_matrix % p
+        # With g = gcd(n, p), x^j and x^(j + n/g) land on the same monomial.
+        g = math.gcd(n, p)
+        folded = coeffs.reshape(len(block), g, n // g, self.r).sum(axis=1, dtype=self.acc_dtype)
+        out = np.zeros_like(block)
+        out[:, np.arange(n // g) * p % n] = folded % p
+        return out
 
 
 class _BitKernel:
@@ -588,7 +558,8 @@ class _BitKernel:
 
     A block has shape (r, N); plane u holds bit j = the y^u component of
     the x^j coefficient, so a whole ring element occupies one bit column
-    across the planes.  Multiplication is a cyclic carry-less multiply per
+    across the planes, and its key, plane u shifted by u n, is its
+    enumeration index.  Multiplication is a cyclic carry-less multiply per
     plane pair followed by y-power reduction; squaring is the Frobenius
     endomorphism, a linear bit shuffle, which makes square-and-multiply
     powering cheap.  Requires n*r <= 62 bits, guaranteed by the cap.
@@ -603,11 +574,14 @@ class _BitKernel:
         self.bit_mask = (1 << n) - 1
         self.field = field_for(q)
 
-    def build_population(self, total: int) -> np.ndarray:
-        ids = np.arange(total, dtype=np.int64)
-        return np.stack(
-            [(ids >> (u * self.n)) & self.bit_mask for u in range(self.r)]
-        )
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        return np.stack([(keys >> (u * self.n)) & self.bit_mask for u in range(self.r)])
+
+    def pack(self, block: np.ndarray) -> np.ndarray:
+        out = block[0].copy()
+        for u in range(1, self.r):
+            out |= block[u] << (u * self.n)
+        return out
 
     def restricted_mask(self, block: np.ndarray) -> np.ndarray:
         # Parity of each plane by xor-folding its (at most 62) bits.
@@ -620,80 +594,66 @@ class _BitKernel:
             mask &= parity[u] == 0
         return mask
 
-    def keys(self, block: np.ndarray) -> np.ndarray:
-        out = block[0].copy()
-        for u in range(1, self.r):
-            out |= block[u] << (u * self.n)
-        return out
-
     def x_keys(self) -> np.ndarray:
         return np.int64(1) << np.arange(self.n, dtype=np.int64)
 
     def _rotate(self, plane: np.ndarray, i: int) -> np.ndarray:
         return ((plane << i) & self.bit_mask) | (plane >> (self.n - i))
 
-    def _clmul_cyclic(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
+    def _clmul_cyclic(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """out ^= the cyclic carry-less product of the planes a and b."""
         for i in range(self.n):
             lane = -((a >> i) & 1)
             out ^= self._rotate(b, i) & lane
-        return out
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r = self.r
-        if r == 1:
-            return self._clmul_cyclic(a[0], b[0])[None, :]
-        conv = [np.zeros_like(a[0]) for _ in range(2 * r - 1)]
+        conv = np.zeros((2 * r - 1, a.shape[1]), dtype=a.dtype)
         for u in range(r):
             for v in range(r):
-                conv[u + v] ^= self._clmul_cyclic(a[u], b[v])
-        out = conv[:r]
+                self._clmul_cyclic(a[u], b[v], conv[u + v])
         for s in range(r, 2 * r - 1):
             for t in range(r):
                 if self.field.reduction[s][t]:
-                    out[t] ^= conv[s]
-        return np.stack(out)
+                    conv[t] ^= conv[s]
+        return conv[:r]
 
     def frobenius(self, block: np.ndarray) -> np.ndarray:
         """Squaring: coefficientwise field Frobenius, then x^j -> x^(2j mod n)
         with colliding bits combining by xor (characteristic 2)."""
-        r, n = self.r, self.n
-        if r == 1:
-            planes = [block[0]]
-        else:
-            planes = []
-            for t in range(r):
-                acc = np.zeros_like(block[0])
-                for u in range(r):
-                    if self.field.frobenius_rows[u][t]:
-                        acc ^= block[u]
-                planes.append(acc)
-        moved = []
-        for plane in planes:
-            out = np.zeros_like(plane)
-            for j in range(n):
-                out ^= ((plane >> j) & 1) << (2 * j % n)
-            moved.append(out)
-        return np.stack(moved)
-
-    def power(self, block: np.ndarray, e: int) -> np.ndarray:
-        """block ** e elementwise in the ring (e >= 1), chunked over columns."""
-        out = np.empty_like(block)
-        for lo in range(0, block.shape[1], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, block.shape[1])
-            out[:, lo:hi] = self._power_chunk(block[:, lo:hi], e)
+        rows = self.field.frobenius_rows
+        out = np.zeros_like(block)
+        for t in range(self.r):
+            plane = reduce(np.bitwise_xor, [block[u] for u in range(self.r) if rows[u][t]])
+            for j in range(self.n):
+                out[t] ^= ((plane >> j) & 1) << (2 * j % self.n)
         return out
 
-    def _power_chunk(self, block: np.ndarray, e: int) -> np.ndarray:
-        if e == 2:
-            return self.frobenius(block)
-        bits = bin(e)[3:]
-        result = block
-        for bit in bits:
-            result = self.frobenius(result)
-            if bit == "1":
-                result = self.multiply(result, block)
-        return result
+    square = frobenius
+
+
+def _power(kernel, block: np.ndarray, e: int) -> np.ndarray:
+    """block ** e elementwise in the ring (e >= 1): the Frobenius when
+    e = p, else square-and-multiply."""
+    if e == kernel.p:
+        return kernel.frobenius(block)
+    result = block
+    for bit in bin(e)[3:]:
+        result = kernel.square(result)
+        if bit == "1":
+            result = kernel.multiply(result, block)
+    return result
+
+
+def _over_ring(kernel, blockwise, dtype) -> np.ndarray:
+    """blockwise(block) for every ring element, in key order: the ring is
+    unpacked one chunk of keys at a time and never held whole."""
+    total = kernel.q**kernel.n
+    out = np.empty(total, dtype=dtype)
+    for lo in range(0, total, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, total)
+        out[lo:hi] = blockwise(kernel.unpack(np.arange(lo, hi, dtype=np.int64)))
+    return out
 
 
 def _candidate_primes(n: int, q: int) -> list[int]:
@@ -705,16 +665,16 @@ def _candidate_primes(n: int, q: int) -> list[int]:
     return sorted({p} | set(prime_factors(q**field_order - 1)))
 
 
-def _compute_levels(kernel, population, in_x, ell: int) -> tuple[np.ndarray, np.ndarray]:
+def _compute_levels(kernel, in_x, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-element torsion levels for the prime ell: level_id[g] is the least
     i with g^(ell^i) = 1, level_x[g] the least i with g^(ell^i) in <x>
     (-1 when never reached); in_x marks the keys of <x>.
 
-    The population is powered once.  An element's key is its enumeration
-    index, so the keys of population^ell are the ell-power map as an index
+    The ring is powered once.  An element's key is its enumeration index,
+    so the keys of the ell-th powers are the ell-power map as an index
     array, and every later round is one gather through it.
     """
-    step = kernel.keys(kernel.power(population, ell))
+    step = _over_ring(kernel, lambda block: kernel.pack(_power(kernel, block, ell)), np.int64)
     level_id = np.full(in_x.size, -1, dtype=np.int16)
     level_x = np.full(in_x.size, -1, dtype=np.int16)
     cur = np.arange(in_x.size)
@@ -736,14 +696,12 @@ def _level_histograms(kernel) -> dict[int, dict[tuple[bool, bool], np.ndarray]]:
     with value 1 at x = 1 when restricted) whose level for ell is i, with
     levels to the identity, or into <x> when modulo_x, as in _compute_levels.
     """
-    total = kernel.q**kernel.n
-    population = kernel.build_population(total)
-    restricted = kernel.restricted_mask(population)
-    in_x = np.zeros(total, dtype=bool)
+    restricted = _over_ring(kernel, kernel.restricted_mask, bool)
+    in_x = np.zeros(restricted.size, dtype=bool)
     in_x[kernel.x_keys()] = True
     hist = {}
     for ell in _candidate_primes(kernel.n, kernel.q):
-        level_id, level_x = _compute_levels(kernel, population, in_x, ell)
+        level_id, level_x = _compute_levels(kernel, in_x, ell)
         hist[ell] = {}
         for modulo_x, level in ((False, level_id), (True, level_x)):
             for only_restricted in (False, True):
@@ -787,8 +745,9 @@ def unit_group_brute(
     are ever tallied, and such elements are automatically units, so no
     explicit unit filter is needed.  For the quotients, the tallies count
     every coset of <x> exactly n times and are divided accordingly.  The
-    number of ring elements q^n must not exceed the cap (argument, else the
-    SANDPILE_BRUTE_CAP environment variable, else 2^22).
+    number of ring elements q^n must not exceed the cap (argument, else
+    2^22), and q^n times the measured peak bytes per element must not
+    exceed physical memory.
     """
     _ring_args(n, q)
     limit = enumeration_cap(cap)
@@ -796,10 +755,17 @@ def unit_group_brute(
     if total > limit:
         raise ValueError(
             f"q^n = {total} ring elements exceeds the enumeration cap {limit}; "
-            f"raise it via the cap argument or SANDPILE_BRUTE_CAP"
+            f"raise it via the cap argument"
         )
     if total >= 1 << 62:
         raise ValueError("q^n too large to pack element keys into 64 bits")
+    memory = _physical_memory_bytes()
+    if memory is not None and total * _BYTES_PER_ELEMENT > memory:
+        raise ValueError(
+            f"enumerating q^n = {total} ring elements needs about "
+            f"{total * _BYTES_PER_ELEMENT // 10**6} MB, more than the "
+            f"{memory // 10**6} MB of physical memory"
+        )
 
     parts = []
     for ell, histograms in _brute_analysis(n, q).items():

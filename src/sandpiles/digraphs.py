@@ -41,46 +41,35 @@ class Digraph:
         return sum(sum(row) for row in self.adjacency)
 
 
-def build_consecutive_d(d: int, n: int, q: int, r: int) -> Digraph:
-    """The consecutive-d digraph: edges v -> q*v + r + i (mod n), 0 <= i < d."""
+def _consecutive(n: int, d: int, mult: int, offset: int) -> Digraph:
+    """Edges v -> mult*v + offset + i (mod n), 0 <= i < d."""
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 0:
         raise ValueError("need d >= 0")
-    if q % n == 0:
-        raise ValueError(f"multiplier q = {q} is 0 mod n = {n}")
     adj = [[0] * n for _ in range(n)]
     for v in range(n):
-        base = (q * v + r) % n
+        base = mult * v + offset
         for i in range(d):
             adj[v][(base + i) % n] += 1
     return Digraph(n, tuple(tuple(row) for row in adj))
 
 
+def build_consecutive_d(d: int, n: int, q: int, r: int) -> Digraph:
+    """The consecutive-d digraph: edges v -> q*v + r + i (mod n), 0 <= i < d."""
+    if n >= 1 and d >= 0 and q % n == 0:
+        raise ValueError(f"multiplier q = {q} is 0 mod n = {n}")
+    return _consecutive(n, d, q, r)
+
+
 def de_bruijn(n: int, d: int) -> Digraph:
     """Generalized de Bruijn digraph DB(n, d): edges v -> d*v + i (mod n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 0:
-        raise ValueError("need d >= 0")
-    adj = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for i in range(d):
-            adj[v][(d * v + i) % n] += 1
-    return Digraph(n, tuple(tuple(row) for row in adj))
+    return _consecutive(n, d, d, 0)
 
 
 def kautz(n: int, d: int) -> Digraph:
     """Generalized Kautz digraph Ktz(n, d): edges v -> -d*(v+1) + i (mod n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 0:
-        raise ValueError("need d >= 0")
-    adj = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for i in range(d):
-            adj[v][(-d * (v + 1) + i) % n] += 1
-    return Digraph(n, tuple(tuple(row) for row in adj))
+    return _consecutive(n, d, -d, -d)
 
 
 def laplacian(G: Digraph, reduce_at: int | None = None) -> IntMatrix:

@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sandpiles import circulant
 from sandpiles.abelian import TRIVIAL_GROUP, direct_sum, from_cyclic_orders
 from sandpiles.circulant import (
     DEFAULT_ENUMERATION_CAP,
     _BitKernel,
     _DigitKernel,
+    _brute_analysis,
     _candidate_primes,
     _compute_levels,
     _level_histograms,
@@ -204,19 +207,37 @@ def test_unit_group_closed_modes():
         unit_group_closed(0, 4)
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.delenv("SANDPILE_BRUTE_CAP", raising=False)
+def test_enumeration_cap():
     assert enumeration_cap() == DEFAULT_ENUMERATION_CAP
     assert enumeration_cap(123) == 123
-    monkeypatch.setenv("SANDPILE_BRUTE_CAP", "4096")
-    assert enumeration_cap() == 4096
-    assert enumeration_cap(99) == 99
     with pytest.raises(ValueError):
         unit_group_brute(10, 3, cap=100)
     try:
         unit_group_brute(10, 3, cap=100)
     except ValueError as exc:
         assert "100" in str(exc)
+
+
+def test_brute_refuses_rings_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: 10**6)
+    estimate = 3**12 * circulant._BYTES_PER_ELEMENT // 10**6
+    with pytest.raises(ValueError, match=f"about {estimate} MB"):
+        unit_group_brute(12, 3)
+    # Where physical memory is unknown, the cap alone decides.
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: None)
+    assert unit_group_brute(4, 2, restricted=True) == from_cyclic_orders([2, 4])
+
+
+def test_enumeration_memory_per_element():
+    # The ring is unpacked one chunk of keys at a time, never whole.
+    _brute_analysis.cache_clear()
+    tracemalloc.start()
+    try:
+        unit_group_brute(9, 4, restricted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 4**9 <= 48
 
 
 def test_unit_group_brute_examples():
@@ -296,6 +317,28 @@ def _decode(kernel, key, field):
     return RingElement(field, n, tuple(coeffs))
 
 
+def _coefficients(kernel, block, row):
+    """The coefficients of one element of an unpacked block, as field elements."""
+    if isinstance(kernel, _BitKernel):
+        return tuple(
+            sum(((int(block[u, row]) >> j) & 1) << u for u in range(kernel.r))
+            for j in range(kernel.n)
+        )
+    return tuple(sum(int(d) * kernel.p**t for t, d in enumerate(c)) for c in block[row])
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (2, 9), (3, 8)])
+def test_pack_inverts_unpack(n, q):
+    keys = np.arange(q**n, dtype=np.int64)
+    field = field_for(q)
+    kernels = [_DigitKernel(n, q)] + ([_BitKernel(n, q)] if q % 2 == 0 else [])
+    for kernel in kernels:
+        block = kernel.unpack(keys)
+        assert kernel.pack(block).tolist() == keys.tolist()
+        for key in range(q**n):
+            assert _coefficients(kernel, block, key) == _decode(kernel, key, field).coeffs
+
+
 def _reference_levels(g, ell, one, x_powers):
     """Least i with g^(ell^i) = 1 and least i with g^(ell^i) in <x> (-1 when
     never), by powering until the sequence g^(ell^i) repeats."""
@@ -315,7 +358,6 @@ def _reference_levels(g, ell, one, x_powers):
 @pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9), (2, 25), (2, 27)])
 def test_gathered_levels_match_ring_powers(n, q):
     kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
-    population = kernel.build_population(q**n)
     in_x = np.zeros(q**n, dtype=bool)
     in_x[kernel.x_keys()] = True
     field = field_for(q)
@@ -323,7 +365,7 @@ def test_gathered_levels_match_ring_powers(n, q):
     one = RingElement.one(field, n)
     x_powers = {RingElement.x_power(field, n, t) for t in range(n)}
     for ell in _candidate_primes(n, q):
-        level_id, level_x = _compute_levels(kernel, population, in_x, ell)
+        level_id, level_x = _compute_levels(kernel, in_x, ell)
         expected = [_reference_levels(g, ell, one, x_powers) for g in elements]
         assert level_id.tolist() == [e[0] for e in expected]
         assert level_x.tolist() == [e[1] for e in expected]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sandpiles import cli
+from sandpiles import circulant, cli
 from sandpiles.abelian import from_cyclic_orders
 from sandpiles.verify import VerificationFailure
 
@@ -130,6 +130,14 @@ def test_circulant_closed_refusal_and_cap(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "circulant", "--n", "4", "--q", "4", "--brute", "--closed")
     assert code == 2
+
+
+def test_circulant_refuses_rings_beyond_physical_memory(capsys, monkeypatch):
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: 8 * 10**9)
+    code, doc, err = run_cli(
+        capsys, "circulant", "--n", "9", "--q", "9", "--brute", "--cap", "400000000"
+    )
+    assert code == 2 and doc is None and "error:" in err and "MB" in err
 
 
 _small = st.integers(1, 12)
