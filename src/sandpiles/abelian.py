@@ -128,11 +128,7 @@ def from_cyclic_orders(orders) -> AbelianGroup:
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
     """Canonical form of the direct sum of the given groups."""
-    chain: list[int] = []
-    for g in groups:
-        for m in g.invariant_factors:
-            chain = _merge_cyclic(chain, m)
-    return AbelianGroup(tuple(chain))
+    return from_cyclic_orders(m for g in groups for m in g.invariant_factors)
 
 
 def is_isomorphic(a: AbelianGroup, b: AbelianGroup) -> bool:

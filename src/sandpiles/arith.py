@@ -147,11 +147,6 @@ def nu(x: int, p: int) -> int:
     return e
 
 
-def pi(x: int, p: int) -> int:
-    """Largest power of p dividing x != 0 (the p-part of x)."""
-    return p ** nu(x, p)
-
-
 def _carmichael(modulus: int) -> int:
     lam = 1
     for p, e in factorize(modulus).items():

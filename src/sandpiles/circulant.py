@@ -534,9 +534,6 @@ class _DigitKernel:
                     out[:, :, t] += c * col
         return (out % self.p).astype(self.digit_dtype)
 
-    def square(self, block: np.ndarray) -> np.ndarray:
-        return self.multiply(block, block)
-
     def frobenius(self, block: np.ndarray) -> np.ndarray:
         """block ** p via the characteristic-p shortcut: coefficientwise
         Frobenius (the F_p-linear map with the field's frobenius_rows) plus
@@ -561,8 +558,9 @@ class _BitKernel:
     across the planes, and its key, plane u shifted by u n, is its
     enumeration index.  Multiplication is a cyclic carry-less multiply per
     plane pair followed by y-power reduction; squaring is the Frobenius
-    endomorphism, a linear bit shuffle, which makes square-and-multiply
-    powering cheap.  Requires n*r <= 62 bits, guaranteed by the cap.
+    endomorphism, a linear bit shuffle, so _power's base-2 Horner rule is
+    square-and-multiply with cheap squarings.  Requires n*r <= 62 bits,
+    guaranteed by the cap.
     """
 
     def __init__(self, n: int, q: int):
@@ -629,20 +627,24 @@ class _BitKernel:
                 out[t] ^= ((plane >> j) & 1) << (2 * j % self.n)
         return out
 
-    square = frobenius
-
 
 def _power(kernel, block: np.ndarray, e: int) -> np.ndarray:
-    """block ** e elementwise in the ring (e >= 1): the Frobenius when
-    e = p, else square-and-multiply."""
-    if e == kernel.p:
-        return kernel.frobenius(block)
-    result = block
-    for bit in bin(e)[3:]:
-        result = kernel.square(result)
-        if bit == "1":
-            result = kernel.multiply(result, block)
-    return result
+    """block ** e elementwise in the ring (e >= 1), by base-p Horner:
+    block^e = frobenius(block^(e // p)) * block^(e mod p), since u -> u^p is
+    a ring endomorphism in characteristic p.  A digit power block^d, d < p,
+    is square-and-multiply through kernel.multiply.  For p = 2 this is
+    binary square-and-multiply with the Frobenius as the squaring."""
+    p = kernel.p
+    if e >= p:
+        result = kernel.frobenius(_power(kernel, block, e // p))
+        if e % p:
+            result = kernel.multiply(result, _power(kernel, block, e % p))
+        return result
+    if e == 1:
+        return block
+    half = _power(kernel, block, e // 2)
+    result = kernel.multiply(half, half)
+    return kernel.multiply(result, block) if e % 2 else result
 
 
 def _over_ring(kernel, blockwise, dtype) -> np.ndarray:

@@ -171,13 +171,12 @@ def check_tree_counts(n_max: int = 20, d_max: int = 4, progress: Progress = None
 # ---------------------------------------------------------------------------
 
 
-def check_generators(m_max: int = 40, d_max: int = 8, signed: bool = True) -> int:
+def check_generators(m_max: int = 40, d_max: int = 8) -> int:
     """Every reduced generator lies in the sandpile subgroup, its expansion
     order matches the claimed order, and the claimed orders multiply to
     |S(m, d)|."""
     checks = 0
-    d_values = list(_signed(d_max)) if signed else list(range(2, d_max + 1))
-    for d in d_values:
+    for d in _signed(d_max):
         for m in range(1, m_max + 1):
             if math.gcd(m, abs(d)) != 1:
                 continue

@@ -10,7 +10,6 @@ from sandpiles.arith import (
     is_prime,
     multiplicative_order,
     nu,
-    pi,
     prime_factors,
     prime_power,
 )
@@ -80,7 +79,6 @@ def test_nu_and_pi():
     assert nu(48, 3) == 1
     assert nu(-48, 2) == 4
     assert nu(5, 2) == 0
-    assert pi(48, 2) == 16
     with pytest.raises(ValueError):
         nu(0, 2)
     with pytest.raises(ValueError):

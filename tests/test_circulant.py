@@ -15,6 +15,7 @@ from sandpiles.circulant import (
     _candidate_primes,
     _compute_levels,
     _level_histograms,
+    _power,
     FiniteField,
     NoClosedForm,
     RingElement,
@@ -380,3 +381,38 @@ def test_digit_and_bit_kernels_agree_in_characteristic_two(n, q):
         assert digit[ell].keys() == bit[ell].keys()
         for mode in digit[ell]:
             assert digit[ell][mode].tolist() == bit[ell][mode].tolist()
+
+
+@pytest.mark.parametrize(
+    "kernel_class, n, q",
+    [(_DigitKernel, 3, 5), (_DigitKernel, 2, 9), (_DigitKernel, 2, 7), (_BitKernel, 3, 4)],
+)
+def test_power_matches_ring_powers(kernel_class, n, q):
+    # Exponents up to 3 p^2 have base-p digits that are zero and digits >= 2.
+    kernel = kernel_class(n, q)
+    field = field_for(q)
+    block = kernel.unpack(np.arange(q**n, dtype=np.int64))
+    elements = [_decode(kernel, key, field) for key in range(q**n)]
+    for e in range(1, 3 * kernel.p**2 + 1):
+        powered = _power(kernel, block, e)
+        for key, g in enumerate(elements):
+            assert _coefficients(kernel, powered, key) == (g**e).coeffs, (e, key)
+
+
+class _CountingDigitKernel(_DigitKernel):
+    multiplies = 0
+
+    def multiply(self, a, b):
+        self.multiplies += 1
+        return super().multiply(a, b)
+
+
+@pytest.mark.parametrize("n, q, multiplies", [(2, 27, 3), (7, 5, 7)])
+def test_power_multiplies_per_chunk(n, q, multiplies):
+    # Base-p Horner: each nonzero lower digit costs one multiply plus its
+    # digit power; the Frobenius maps cost none.
+    kernel = _CountingDigitKernel(n, q)
+    block = kernel.unpack(np.arange(16, dtype=np.int64))
+    for ell in _candidate_primes(n, q):
+        _power(kernel, block, ell)
+    assert kernel.multiplies == multiplies
