@@ -10,6 +10,8 @@ every line against the Smith-form oracle.
 """
 
 import argparse
+import os
+import sys
 from dataclasses import dataclass
 
 from sandpiles.closed_form import sand_dune_group, sandpile_group
@@ -70,4 +72,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does).  Point stdout
+        # at devnull so the flush at exit cannot fail again, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +35,12 @@ from .arith import is_prime, multiplicative_order, nu, prime_factors, prime_powe
 from .closed_form import cyclotomic_cosets, sand_dune_group, sandpile_group
 
 DEFAULT_ENUMERATION_CAP = 1 << 22
-_CHUNK_ROWS = 1 << 16
+# A chunk holds as many keys as fit this many bytes of the kernel's multiply
+# temporaries (its row_bytes per key).
+_CHUNK_BYTES = 2 << 20
 # Peak bytes per ring element of one enumeration (tracemalloc), at least the
 # largest measured on rings of 2^18 elements or more.
-_BYTES_PER_ELEMENT = 200
+_BYTES_PER_ELEMENT = 38
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +482,17 @@ def _physical_memory_bytes() -> int | None:
 class _DigitKernel:
     """Vectorized arithmetic for blocks of F_q[x]/(x^n - 1) elements, any p.
 
-    A block has shape (N, n, r): the base-p digits of each coefficient.
-    Digit t of coefficient j is digit j r + t of the element's key, so the
-    key is the element's enumeration index.  Products accumulate in int32
-    whenever the largest unreduced coefficient, n r (p-1)^2 (1 + (r-1)(p-1)),
-    fits, else in int64.
+    A block is plane-major, shape (n, r, N): row (j, t) holds base-p digit t
+    of coefficient j for the N elements of a chunk, so every numpy operation
+    runs over contiguous rows of N.  Digit t of coefficient j is digit j r + t
+    of the element's key, so the key is the element's enumeration index.
+
+    A product accumulates acc[(i + j) % n, u:u+r] += a[i, u] * b[j] over
+    (i, u), all j at once: rows n - i .. 2n - i of b stacked twice are b
+    rotated by i.  The (n, 2r - 1, N) accumulator then folds y^s, s >= r,
+    back through the field's reduction table.  It is int32 whenever the
+    largest unreduced coefficient, n r (p-1)^2 (1 + (r-1)(p-1)), fits, else
+    int64.
     """
 
     def __init__(self, n: int, q: int):
@@ -492,46 +500,54 @@ class _DigitKernel:
         self.q = q
         self.n = n
         self.digit_dtype = np.uint8 if self.p < 256 else np.int64
+        self.key_dtype = np.int32 if q**n <= 1 << 31 else np.int64
         bound = n * self.r * (self.p - 1) ** 2 * (1 + (self.r - 1) * (self.p - 1))
         self.acc_dtype = np.int32 if bound < 1 << 31 else np.int64
         self.field = field_for(q)
-        self.frobenius_matrix = np.array(self.field.frobenius_rows, dtype=self.acc_dtype)
+        self.frobenius_matrix = np.array(self.field.frobenius_rows, dtype=self.acc_dtype).T
         self.pack_weights = self.p ** np.arange(n * self.r, dtype=np.int64)
+        # multiply's temporaries per row: a widened, b doubled, one product
+        # and the accumulator.
+        self.row_bytes = np.dtype(self.acc_dtype).itemsize * n * (6 * self.r - 1)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         # One floor division by a scalar per digit: measured 1.6x faster than
-        # np.divmod and 6x faster than dividing by the array of weights.
-        digits = np.empty((keys.size, self.n * self.r), dtype=self.digit_dtype)
+        # np.divmod and 6x faster than dividing by the array of weights, and
+        # 3x faster again in int32 where every key fits.
+        keys = keys.astype(self.key_dtype, copy=False)
+        digits = np.empty((self.n * self.r, keys.size), dtype=self.digit_dtype)
         for t in range(self.n * self.r):
             quotient = keys // self.p
-            digits[:, t] = keys - quotient * self.p
+            digits[t] = keys - quotient * self.p
             keys = quotient
-        return digits.reshape(-1, self.n, self.r)
+        return digits.reshape(self.n, self.r, -1)
 
     def pack(self, block: np.ndarray) -> np.ndarray:
-        return block.reshape(block.shape[0], -1) @ self.pack_weights
+        return self.pack_weights @ block.reshape(self.n * self.r, -1)
 
     def restricted_mask(self, block: np.ndarray) -> np.ndarray:
-        sums = block.sum(axis=1, dtype=np.int64) % self.p
-        return (sums[:, 0] == 1) & ~sums[:, 1:].any(axis=1)
+        sums = block.sum(axis=0, dtype=np.int64) % self.p
+        return (sums[0] == 1) & ~sums[1:].any(axis=0)
 
     def x_keys(self) -> np.ndarray:
         return self.pack_weights[np.arange(self.n) * self.r]
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        rows, n, r = a.shape
-        acc = np.zeros((rows, n, 2 * r - 1), dtype=self.acc_dtype)
+        n, r, rows = a.shape
         wide = a.astype(self.acc_dtype)
+        doubled = np.concatenate((b, b)).astype(self.acc_dtype)
+        term = np.empty((n, r, rows), dtype=self.acc_dtype)
+        acc = np.zeros((n, 2 * r - 1, rows), dtype=self.acc_dtype)
         for i in range(n):
-            rolled = np.roll(b, i, axis=1)
+            rotated = doubled[n - i : 2 * n - i]  # rotated[k] = b[(k - i) % n]
             for u in range(r):
-                acc[:, :, u : u + r] += wide[:, i, u, None, None] * rolled
-        out = acc[:, :, :r]
+                np.multiply(wide[i, u], rotated, out=term)
+                acc[:, u : u + r] += term
+        out = acc[:, :r]
         for s in range(r, 2 * r - 1):
-            col = acc[:, :, s]
             for t, c in enumerate(self.field.reduction[s]):
                 if c:
-                    out[:, :, t] += c * col
+                    out[:, t] += c * acc[:, s]
         return (out % self.p).astype(self.digit_dtype)
 
     def frobenius(self, block: np.ndarray) -> np.ndarray:
@@ -541,26 +557,41 @@ class _DigitKernel:
         n, p = self.n, self.p
         coeffs = block
         if self.r > 1:  # at r = 1 the map is the identity
-            coeffs = block @ self.frobenius_matrix % p
+            coeffs = self.frobenius_matrix @ block % p
         # With g = gcd(n, p), x^j and x^(j + n/g) land on the same monomial.
         g = math.gcd(n, p)
-        folded = coeffs.reshape(len(block), g, n // g, self.r).sum(axis=1, dtype=self.acc_dtype)
+        folded = coeffs.reshape(g, n // g, self.r, -1).sum(axis=0, dtype=self.acc_dtype)
         out = np.zeros_like(block)
-        out[:, np.arange(n // g) * p % n] = folded % p
+        out[np.arange(n // g) * p % n] = folded % p
         return out
 
 
 class _BitKernel:
-    """Characteristic-2 kernel: blocks are r bit-planes of packed int64.
+    """Characteristic-2 kernel: blocks are r bit-planes of packed uint64.
 
     A block has shape (r, N); plane u holds bit j = the y^u component of
     the x^j coefficient, so a whole ring element occupies one bit column
     across the planes, and its key, plane u shifted by u n, is its
-    enumeration index.  Multiplication is a cyclic carry-less multiply per
-    plane pair followed by y-power reduction; squaring is the Frobenius
-    endomorphism, a linear bit shuffle, so _power's base-2 Horner rule is
-    square-and-multiply with cheap squarings.  Requires n*r <= 62 bits,
-    guaranteed by the cap.
+    enumeration index.
+
+    A plane product is a cyclic carry-less product, formed by integer
+    multiplies.  Each operand is split into s residue classes of bit
+    positions, s the least with ceil(n/s) < 2^s.  In the integer product of
+    classes k and l, a position of class k + l (mod s) sums at most
+    ceil(n/s) one-bit terms, fewer than 2^s, so the carries from the lower
+    positions of its class stay below it and its bit is the parity of its
+    terms.  Those bits of the s^2 products xor to the carry-less product,
+    and one fold, (z & mask) ^ (z >> n), makes it cyclic; this needs
+    2n - 1 <= 64.  Plane pairs combine by y power, which then reduces
+    through the field's reduction table.
+
+    Squaring, the Frobenius, is F_2-linear on the n r-bit key: bit (u, j)
+    maps to frobenius_rows[u] at x^(2j mod n).  From these images one table
+    of 256 keys per key byte is built once, and the map is one gather per
+    byte, xored together.
+
+    Keys need n r <= 62 bits and products 2n - 1 <= 64; unit_group_brute
+    refuses larger rings.
     """
 
     def __init__(self, n: int, q: int):
@@ -571,9 +602,36 @@ class _BitKernel:
         self.n = n
         self.bit_mask = (1 << n) - 1
         self.field = field_for(q)
+        s = 1
+        while -(-n // s) >= 1 << s:
+            s += 1
+        self.spacing = s
+        # Every s-th bit, over the 2n - 1 bits of a product (at most 64).
+        self.class_masks = np.array(
+            [[sum(1 << i for i in range(k, min(2 * n - 1, 64), s))] for k in range(s)],
+            dtype=np.uint64,
+        )
+        rows = self.field.frobenius_rows
+        images = [
+            sum(rows[u][t] << (t * n + 2 * j % n) for t in range(self.r))
+            for u in range(self.r)
+            for j in range(n)
+        ]
+        self.frobenius_tables = np.zeros((-(-n * self.r // 8), 256), dtype=np.uint64)
+        for byte, table in enumerate(self.frobenius_tables):
+            for i, image in enumerate(images[8 * byte : 8 * byte + 8]):
+                table[1 << i : 2 << i] = table[: 1 << i] ^ np.uint64(image)
+        # multiply's temporaries per row: the split operands, b's doubled,
+        # one product and the accumulator.
+        self.row_bytes = 8 * s * (6 * self.r - 1)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        return np.stack([(keys >> (u * self.n)) & self.bit_mask for u in range(self.r)])
+        keys = keys.astype(np.uint64, copy=False)
+        planes = np.empty((self.r, keys.size), dtype=np.uint64)
+        for u in range(self.r):
+            np.right_shift(keys, u * self.n, out=planes[u])
+            planes[u] &= self.bit_mask
+        return planes
 
     def pack(self, block: np.ndarray) -> np.ndarray:
         out = block[0].copy()
@@ -595,37 +653,35 @@ class _BitKernel:
     def x_keys(self) -> np.ndarray:
         return np.int64(1) << np.arange(self.n, dtype=np.int64)
 
-    def _rotate(self, plane: np.ndarray, i: int) -> np.ndarray:
-        return ((plane << i) & self.bit_mask) | (plane >> (self.n - i))
-
-    def _clmul_cyclic(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        """out ^= the cyclic carry-less product of the planes a and b."""
-        for i in range(self.n):
-            lane = -((a >> i) & 1)
-            out ^= self._rotate(b, i) & lane
-
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r = self.r
-        conv = np.zeros((2 * r - 1, a.shape[1]), dtype=a.dtype)
+        r, s = self.r, self.spacing
+        rows = a.shape[1]
+        split = a[:, None] & self.class_masks
+        doubled = np.empty((r, 2 * s, rows), dtype=np.uint64)
+        np.bitwise_and(b[:, None], self.class_masks, out=doubled[:, :s])
+        doubled[:, s:] = doubled[:, :s]
+        term = np.empty((r, s, rows), dtype=np.uint64)
+        acc = np.zeros((2 * r - 1, s, rows), dtype=np.uint64)
         for u in range(r):
-            for v in range(r):
-                self._clmul_cyclic(a[u], b[v], conv[u + v])
-        for s in range(r, 2 * r - 1):
+            for k in range(s):
+                # term[v, c] = a_u^(k) * b_v^(c - k): its class-c bits are valid.
+                np.multiply(split[u, k], doubled[:, s - k : 2 * s - k], out=term)
+                acc[u : u + r] ^= term
+        acc &= self.class_masks
+        conv = np.bitwise_or.reduce(acc, axis=1)
+        conv = (conv & self.bit_mask) ^ (conv >> self.n)
+        for w in range(r, 2 * r - 1):
             for t in range(r):
-                if self.field.reduction[s][t]:
-                    conv[t] ^= conv[s]
+                if self.field.reduction[w][t]:
+                    conv[t] ^= conv[w]
         return conv[:r]
 
     def frobenius(self, block: np.ndarray) -> np.ndarray:
-        """Squaring: coefficientwise field Frobenius, then x^j -> x^(2j mod n)
-        with colliding bits combining by xor (characteristic 2)."""
-        rows = self.field.frobenius_rows
-        out = np.zeros_like(block)
-        for t in range(self.r):
-            plane = reduce(np.bitwise_xor, [block[u] for u in range(self.r) if rows[u][t]])
-            for j in range(self.n):
-                out[t] ^= ((plane >> j) & 1) << (2 * j % self.n)
-        return out
+        key_bytes = self.pack(block).astype("<u8", copy=False).view(np.uint8)
+        out = np.zeros(block.shape[1], dtype=np.uint64)
+        for byte, table in enumerate(self.frobenius_tables):
+            out ^= table[key_bytes[byte::8]]
+        return self.unpack(out)
 
 
 def _power(kernel, block: np.ndarray, e: int) -> np.ndarray:
@@ -651,9 +707,10 @@ def _over_ring(kernel, blockwise, dtype) -> np.ndarray:
     """blockwise(block) for every ring element, in key order: the ring is
     unpacked one chunk of keys at a time and never held whole."""
     total = kernel.q**kernel.n
+    rows = max(1, _CHUNK_BYTES // kernel.row_bytes)
     out = np.empty(total, dtype=dtype)
-    for lo in range(0, total, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, total)
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
         out[lo:hi] = blockwise(kernel.unpack(np.arange(lo, hi, dtype=np.int64)))
     return out
 
@@ -761,6 +818,11 @@ def unit_group_brute(
         )
     if total >= 1 << 62:
         raise ValueError("q^n too large to pack element keys into 64 bits")
+    if q % 2 == 0 and 2 * n - 1 > 64:
+        raise ValueError(
+            f"characteristic-2 enumeration multiplies n-bit planes in 64-bit "
+            f"integers and needs 2n - 1 <= 64, i.e. n <= 32; got n = {n}"
+        )
     memory = _physical_memory_bytes()
     if memory is not None and total * _BYTES_PER_ELEMENT > memory:
         raise ValueError(

@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"enumeration cap on q^n (default {enumeration_cap()}; ~36-45 B/element)",
+        help=f"enumeration cap on q^n (default {enumeration_cap()}; ~37 B/element)",
     )
 
     ver = sub.add_parser("verify", help="run the full property sweep")

@@ -83,7 +83,7 @@ def test_criterion_05_tree_counts_every_root(capsys):
 
 def test_criterion_06_circulant_coprime_and_brute(capsys):
     with criterion(
-        capsys, 6, "coprime circulant groups q<=9 m<=40 plus enumeration", budget=60.0
+        capsys, 6, "coprime circulant groups q<=9 m<=40 plus enumeration", budget=30.0
     ):
         assert check_circulant_coprime(40, 9) > 0
         assert check_circulant_brute(40, 9) > 0

@@ -229,16 +229,34 @@ def test_brute_refuses_rings_beyond_physical_memory(monkeypatch):
     assert unit_group_brute(4, 2, restricted=True) == from_cyclic_orders([2, 4])
 
 
-def test_enumeration_memory_per_element():
-    # The ring is unpacked one chunk of keys at a time, never whole.
+def test_brute_refuses_wide_characteristic_two_rings(monkeypatch):
+    # Refused before anything is allocated, even where memory is unknown.
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: None)
+    for n in (33, 61):
+        with pytest.raises(ValueError, match="2n - 1 <= 64"):
+            unit_group_brute(n, 2, cap=1 << 61)
+
+
+def _peak_bytes_per_element(n, q):
     _brute_analysis.cache_clear()
     tracemalloc.start()
     try:
-        unit_group_brute(9, 4, restricted=True)
+        unit_group_brute(n, q, restricted=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 4**9 <= 48
+    return peak / q**n
+
+
+def test_enumeration_memory_per_element():
+    # The ring is unpacked one chunk of keys at a time, never whole.
+    assert _peak_bytes_per_element(9, 4) <= 48
+
+
+def test_enumeration_memory_per_element_on_a_small_ring():
+    # Chunks are sized in bytes, so at 1.8e5 elements one chunk's buffers
+    # still weigh little against the ring.
+    assert _peak_bytes_per_element(11, 3) <= 48
 
 
 def test_unit_group_brute_examples():
@@ -325,7 +343,7 @@ def _coefficients(kernel, block, row):
             sum(((int(block[u, row]) >> j) & 1) << u for u in range(kernel.r))
             for j in range(kernel.n)
         )
-    return tuple(sum(int(d) * kernel.p**t for t, d in enumerate(c)) for c in block[row])
+    return tuple(sum(int(d) * kernel.p**t for t, d in enumerate(c)) for c in block[:, :, row])
 
 
 @pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (2, 9), (3, 8)])
@@ -416,3 +434,41 @@ def test_power_multiplies_per_chunk(n, q, multiplies):
     for ell in _candidate_primes(n, q):
         _power(kernel, block, ell)
     assert kernel.multiplies == multiplies
+
+
+def _cyclic_clmul_reference(a, b, n):
+    """The cyclic carry-less product of two n-bit integers, bit by bit."""
+    out = 0
+    for i in range(n):
+        if a >> i & 1:
+            out ^= ((b << i) | (b >> (n - i))) & ((1 << n) - 1)
+    return out
+
+
+def test_carry_less_spacing():
+    # The least s with ceil(n/s) < 2^s.
+    spacings = {n: _BitKernel(n, 2).spacing for n in (1, 2, 6, 7, 21, 22, 32)}
+    assert spacings == {1: 1, 2: 2, 6: 2, 7: 3, 21: 3, 22: 4, 32: 4}
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_spaced_carry_less_product(n):
+    kernel = _BitKernel(n, 2)
+    ones = (1 << n) - 1
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, ones, size=200, dtype=np.uint64, endpoint=True)
+    b = rng.integers(0, ones, size=200, dtype=np.uint64, endpoint=True)
+    # All-ones operands put the most terms on every product position.
+    a[:2] = b[:2] = ones
+    a[2], b[3] = 0, 0
+    product = kernel.multiply(a[None], b[None])[0]
+    assert product.tolist() == [_cyclic_clmul_reference(int(x), int(y), n) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("n, q", [(5, 2), (3, 4), (2, 8)])
+def test_table_frobenius_squares_every_element(n, q):
+    kernel = _BitKernel(n, q)
+    field = field_for(q)
+    squared = kernel.frobenius(kernel.unpack(np.arange(q**n, dtype=np.int64)))
+    for key in range(q**n):
+        assert _coefficients(kernel, squared, key) == (_decode(kernel, key, field) ** 2).coeffs

@@ -140,6 +140,14 @@ def test_circulant_refuses_rings_beyond_physical_memory(capsys, monkeypatch):
     assert code == 2 and doc is None and "error:" in err and "MB" in err
 
 
+def test_circulant_refuses_wide_characteristic_two_rings(capsys, monkeypatch):
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: None)
+    code, doc, err = run_cli(
+        capsys, "circulant", "--n", "33", "--q", "2", "--brute", "--cap", str(1 << 40)
+    )
+    assert code == 2 and doc is None and "2n - 1 <= 64" in err
+
+
 _small = st.integers(1, 12)
 _nonpositive = st.integers(-5, 0)
 _flags = st.sampled_from([[], ["--restricted"], ["--mod-x"], ["--restricted", "--mod-x"]])

@@ -9,13 +9,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=ENV,
         timeout=120,
     )
 
@@ -34,3 +36,21 @@ def test_group_tables_check_passes():
     )
     assert done.returncode == 0, done.stderr
     assert "kautz" in done.stdout and "de_bruijn" in done.stdout
+
+
+def test_group_tables_ends_quietly_when_the_reader_closes_early():
+    # About 80 KB of table: more than the pipe holds, so the script is still
+    # writing when the reader goes away after one line.
+    args = ("--n-max", "40", "--d-max", "8", "--family", "both")
+    with subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "group_tables.py"), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=ENV,
+    ) as proc:
+        assert proc.stdout.readline().startswith("family")
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        stderr = proc.stderr.read()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
