@@ -14,6 +14,8 @@ structure confirmed by exhaustive enumeration when it fits under the cap.
 """
 
 import argparse
+import os
+import sys
 
 from sandpiles.abelian import structure_from_torsion_counts
 from sandpiles.arith import is_prime
@@ -75,4 +77,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does).  Point stdout
+        # at devnull so the flush at exit cannot fail again, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

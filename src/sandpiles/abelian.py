@@ -5,35 +5,34 @@ s_1 | s_2 | ... | s_r with every s_i >= 2 (the empty chain is the trivial
 group).  Two groups are isomorphic exactly when these tuples are equal, so
 equality of values is isomorphism.
 
-Canonicalization never factors integers.  Merging a cyclic factor Z_m into an
-existing chain uses only gcd/lcm steps (Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b)),
-which per prime performs one insertion-sort pass on the exponents and
-therefore lands on the invariant-factor chain of the direct sum.  This
-matters because invariant factors arriving from Smith forms of large
-Laplacians are hundred-bit composites that we have no business factoring.
+Canonicalization never factors integers.  Each distinct order m, with its
+count c, is placed into the chain by one gcd/lcm pass (:func:`_merge_copies`)
+that per prime inserts c equal exponents into the sorted exponent list, so
+it lands on the invariant-factor chain in O(distinct orders x rank) steps.
+Invariant factors from Smith forms of large Laplacians are hundred-bit
+composites that we have no business factoring.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .arith import factorize, is_prime, nu
 
 
-def _merge_cyclic(chain: list[int], m: int) -> list[int]:
-    """Merge one cyclic order m >= 2 into an ascending divisor chain."""
-    out: list[int] = []
-    carry = m
-    for s in chain:
-        g = math.gcd(s, carry)
-        lcm = s // g * carry
-        if g > 1:
-            out.append(g)
-        carry = lcm
-    if carry > 1:
-        out.append(carry)
-    return out
+def _merge_copies(chain: list[int], m: int, c: int) -> list[int]:
+    """Merge c copies of Z_m (m >= 2) into an ascending divisor chain s.
+
+    Place j of the new chain is t_j = lcm(s_{j-c}, gcd(s_j, m)), with s = 1
+    below the chain and s = 0 above it (gcd(0, m) = m); the 1s are dropped.
+    Per prime, place j gets max(a_{j-c}, min(a_j, e)), which is the sorted
+    exponent list a with c copies of e inserted.  One pass costs O(rank + c).
+    """
+    merged = map(math.lcm, [1] * c + chain, map(math.gcd, chain + [0] * c, repeat(m)))
+    return [t for t in merged if t > 1]
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,14 @@ def from_cyclic_orders(orders) -> AbelianGroup:
     """Canonical form of the direct sum of cyclic groups Z_{orders[i]}.
 
     Orders equal to 1 contribute nothing and are dropped; zero or negative
-    orders are rejected.
+    orders are rejected.  Each distinct order is merged once, with its count.
     """
     chain: list[int] = []
-    for m in orders:
+    for m, c in Counter(orders).items():
         if m < 1:
             raise ValueError(f"cyclic order must be positive, got {m}")
         if m > 1:
-            chain = _merge_cyclic(chain, m)
+            chain = _merge_copies(chain, m, c)
     return AbelianGroup(tuple(chain))
 
 

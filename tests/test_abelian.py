@@ -2,7 +2,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandpiles.abelian import (
@@ -16,6 +16,34 @@ from sandpiles.abelian import (
 )
 
 orders_lists = st.lists(st.integers(min_value=1, max_value=600), max_size=8)
+
+# Few distinct orders, each repeated up to a few hundred times, as in the
+# towers of the closed forms: divisors of 720 plus some large composites.
+ORDER_POOL = sympy.divisors(720) + [2**40 * 3**5, 10**18, 6**30, 720**5, (2**61 - 1) * 15]
+repeated_orders = (
+    st.lists(st.tuples(st.sampled_from(ORDER_POOL), st.integers(1, 200)), max_size=5)
+    .map(lambda pairs: [m for m, c in pairs for _ in range(c)])
+    .flatmap(st.permutations)
+)
+
+
+def merge_one_by_one(orders):
+    """Reference canonicalization: merge one cyclic order at a time into the
+    whole chain, by Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b) down the chain."""
+    chain = []
+    for m in orders:
+        if m < 2:
+            continue
+        out = []
+        carry = m
+        for s in chain:
+            g = math.gcd(s, carry)
+            if g > 1:
+                out.append(g)
+            carry = s // g * carry
+        out.append(carry)
+        chain = out
+    return tuple(chain)
 
 
 def canonical_via_sympy(orders):
@@ -105,6 +133,19 @@ def test_primary_decomposition():
 @given(orders_lists)
 def test_canonicalization_matches_sympy_route(orders):
     assert from_cyclic_orders(orders).invariant_factors == canonical_via_sympy(orders)
+
+
+@given(orders_lists)
+def test_canonicalization_matches_one_by_one_merge(orders):
+    assert from_cyclic_orders(orders).invariant_factors == merge_one_by_one(orders)
+
+
+@settings(max_examples=50, deadline=None)
+@given(repeated_orders)
+def test_multiplicities_match_both_references(orders):
+    chain = from_cyclic_orders(orders).invariant_factors
+    assert chain == merge_one_by_one(orders)
+    assert chain == canonical_via_sympy(orders)
 
 
 @given(orders_lists)

@@ -149,3 +149,13 @@ def test_criterion_11_randomized_smith_suite(capsys):
                 [[row[j] for j in perm] for row in perm_rows]
             )
             assert smith_normal_form(shuffled).invariant_factors == fs
+
+
+def test_criterion_12_closed_forms_at_rank_1e5(capsys):
+    n = 3 * 2**16
+    with criterion(capsys, 12, f"closed forms at rank ~10^5, (n, d) = ({n}, 2)", budget=5.0):
+        sandpile = sandpile_group(n, 2)
+        dune = sand_dune_group(n, 2)
+        assert sandpile.rank == n // 2 - 1
+        assert dune.order == n * sandpile.order
+        assert from_cyclic_orders(sandpile.invariant_factors) == sandpile

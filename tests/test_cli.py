@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -230,6 +234,19 @@ def test_family_refuses_before_building_the_digraph(capsys, monkeypatch, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["db", "130", "3"], ["kautz", "130", "3"], ["consecutive", "3", "130", "2", "1"]]
+)
+def test_dense_oracles_beyond_physical_memory_are_refused(capsys, monkeypatch, argv):
+    # 130^2 vertex pairs at 64 B each outweigh 1 MB.
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: 10**6)
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2 and doc is None and "error:" in err and "MB" in err
+    monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: None)
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0 and doc is not None
+
+
 def test_family_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sandpile_group", lambda n, d: from_cyclic_orders([999]))
     code, doc, err = run_cli(capsys, "db", "4", "3")
@@ -281,3 +298,21 @@ def test_stdout_is_exactly_one_json_document(capsys):
     assert code == 0
     doc = json.loads(out)  # would fail if anything else leaked to stdout
     assert doc["group"]["invariant_factors"] == ["3", "3", "3", "3", "9", "9"]
+
+
+def test_main_ends_quietly_when_the_reader_closes_early():
+    # About 80 KB of document: more than the pipe holds, so the command is
+    # still writing when the reader goes away after one line.
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "sandpiles", "circulant", "--n", "13824", "--q", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        stderr = proc.stderr.read()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

@@ -54,3 +54,21 @@ def test_group_tables_ends_quietly_when_the_reader_closes_early():
         proc.wait(timeout=120)
         stderr = proc.stderr.read()
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_quotient_witness_ends_quietly_when_the_reader_closes_early():
+    # About 100 KB of report: more than the pipe holds, so the script is
+    # still writing when the reader goes away after one line.
+    args = ("--p-max", "11", "--r-max", "3", "--k-max", "3", "--brute-cap", "1")
+    with subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "quotient_witness.py"), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=ENV,
+    ) as proc:
+        assert proc.stdout.readline().startswith("n=")
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        stderr = proc.stderr.read()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
