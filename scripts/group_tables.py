@@ -38,6 +38,7 @@ def family_rows(config: TableConfig):
 
 
 def main() -> None:
+    sys.set_int_max_str_digits(0)  # group orders can pass 4300 digits
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=TableConfig.n_max)
     parser.add_argument("--d-max", type=int, default=TableConfig.d_max)

@@ -28,6 +28,7 @@ from sandpiles.closed_form import sandpile_group
 
 
 def main() -> None:
+    sys.set_int_max_str_digits(0)  # group orders can pass 4300 digits
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p-max", type=int, default=5, help="largest characteristic")
     parser.add_argument("--r-max", type=int, default=3, help="largest extension degree")

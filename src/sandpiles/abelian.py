@@ -57,7 +57,12 @@ class AbelianGroup:
 
     @property
     def order(self) -> int:
-        return math.prod(self.invariant_factors)
+        # Multiply in balanced pairs: a running product over a rank-10^5
+        # chain costs quadratic time in the digits of the order.
+        fs = list(self.invariant_factors) or [1]
+        while len(fs) > 1:
+            fs = [math.prod(fs[i : i + 2]) for i in range(0, len(fs), 2)]
+        return fs[0]
 
     @property
     def exponent(self) -> int:

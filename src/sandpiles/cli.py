@@ -297,6 +297,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # Group orders outgrow Python's default 4300-digit limit on int-to-str
+    # conversion; lift it for the process, not for in-process callers of run.
+    sys.set_int_max_str_digits(0)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

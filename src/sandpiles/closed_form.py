@@ -12,8 +12,12 @@ generalized Kautz digraph Ktz(n, |d|).  Two groups appear throughout:
 
 Both decompose in closed form through the d-sequence of n (the failure of
 n to be coprime to d) and the d-ary cyclotomic cosets modulo the coprime
-part m.  Congruence conditions such as "d = 3 mod 4" are evaluated on the
-signed integer d, which is what makes the Kautz case come out right; the
+part m.  A coset's summand depends only on its size, so the group routes
+count the cosets per divisor e of m, phi(e)/ord_e(d) of size ord_e(d),
+from one order per prime power of m instead of a walk over Z_m;
+:func:`cyclotomic_cosets` lists the orbits for the callers that need them.
+Congruence conditions such as "d = 3 mod 4" are evaluated on the signed
+integer d, which is what makes the Kautz case come out right; the
 verification sweeps compare every value against Smith-form oracles.
 """
 
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from . import abelian
 from .abelian import AbelianGroup
-from .arith import factorize, nu
+from .arith import factorize, multiplicative_order, nu
 from .exact_linalg import IntMatrix
 
 __all__ = [
@@ -256,51 +260,60 @@ class CosetSystem:
         return min(self.orbit_of(v))
 
 
-def cyclotomic_cosets(m: int, d: int) -> CosetSystem:
-    """The d-ary cyclotomic cosets modulo m (requires gcd(m, d) = 1)."""
+def _check_coprime(m: int, d: int) -> None:
     _check_d(d)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if math.gcd(m, d) != 1:
         raise ValueError(f"need gcd(m, d) = 1, got gcd({m}, {d}) != 1")
-    dm = d % m
+
+
+def _orbit(v: int, m: int, d: int) -> tuple[int, ...]:
+    """The orbit v, d*v, d^2*v, ... of v under x -> d*x mod m."""
+    orbit = [v]
+    x = v * d % m
+    while x != v:
+        orbit.append(x)
+        x = x * d % m
+    return tuple(orbit)
+
+
+def _prime_parts(m: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, pi_p(m), M_p) per prime p | m, with M_p = m / pi_p(m)."""
+    return tuple((p, p**e, m // p**e) for p, e in factorize(m).items())
+
+
+def cyclotomic_cosets(m: int, d: int) -> CosetSystem:
+    """The d-ary cyclotomic cosets modulo m (requires gcd(m, d) = 1)."""
+    _check_coprime(m, d)
     orbits = []
     seen = set()
     for v in range(1, m):
-        if v in seen:
-            continue
-        orbit = [v]
-        seen.add(v)
-        x = v * dm % m
-        while x != v:
-            orbit.append(x)
-            seen.add(x)
-            x = x * dm % m
-        orbits.append(tuple(orbit))
+        if v not in seen:
+            orbit = _orbit(v, m, d)
+            seen.update(orbit)
+            orbits.append(orbit)
     reps = tuple(o[0] for o in orbits)
-    prime_parts = []
-    vstar = []
-    for p, e in factorize(m).items():
-        pi = p**e
-        big_m = m // pi
-        prime_parts.append((p, pi, big_m))
-        vstar.extend(p**t * big_m for t in range(e))
-    vstar_t = tuple(sorted(vstar))
+    prime_parts = _prime_parts(m)
+    vstar_t = tuple(
+        sorted(p**t * big_m for p, pi, big_m in prime_parts for t in range(nu(pi, p)))
+    )
     reps_set = set(reps)
     for v in vstar_t:
         if v not in reps_set:
             raise AssertionError(f"divisor {v} of {m} is not minimal in its orbit")
-    return CosetSystem(m, d, tuple(orbits), reps, vstar_t, tuple(prime_parts))
+    return CosetSystem(m, d, tuple(orbits), reps, vstar_t, prime_parts)
 
 
-def _c_value(cs: CosetSystem, v: int) -> int:
-    exceptional = cs.m % 4 == 0 and cs.d % 4 == 3
-    for p, pi, big_m in cs.prime_parts:
+def _c_value(v: int, m: int, d: int, prime_parts: tuple[tuple[int, int, int], ...]) -> int:
+    """c(v) for a coset representative v modulo m (see :func:`c_value`)."""
+    exceptional = m % 4 == 0 and d % 4 == 3
+    for p, pi, big_m in prime_parts:
         if v == big_m:
             if p == 2 and exceptional:
                 return pi // 2
             return pi
-    if exceptional and v == cs.m // 2:
+    if exceptional and v == m // 2:
         return 2
     return 1
 
@@ -310,12 +323,13 @@ def c_value(v: int, m: int, d: int) -> int:
 
     c(v) = pi_p(m) when v = M_p (except: pi_2(m)/2 when p = 2, d = 3 mod 4
     and 4 | m), c(v) = 2 when v = m/2 with 4 | m and d = 3 mod 4, and 1 for
-    every other representative.
+    every other representative.  Only the orbit of v is walked, to check
+    that v is its minimum.
     """
-    cs = cyclotomic_cosets(m, d)
-    if v not in cs.representatives:
+    _check_coprime(m, d)
+    if not 0 < v < m or min(_orbit(v, m, d)) != v:
         raise ValueError(f"{v} is not an orbit representative modulo {m}")
-    return _c_value(cs, v)
+    return _c_value(v, m, d, _prime_parts(m))
 
 
 def _tower_orders(ds: DSequence, reduce_first: bool) -> list[int]:
@@ -330,35 +344,52 @@ def _tower_orders(ds: DSequence, reduce_first: bool) -> list[int]:
     return orders
 
 
-def _coset_orders(cs: CosetSystem, reduced: bool) -> list[int]:
-    d = cs.d
-    orders = []
-    for orbit in cs.orbits:
-        v = orbit[0]
-        full = abs(d ** len(orbit) - 1)
+def _coset_orders(m: int, d: int, reduced: bool) -> list[int]:
+    """One order |d^o - 1| per coset modulo m, divided by c(v) at the
+    representative v when ``reduced``.  The residues v with gcd(v, m) = m/e
+    are m/e times the units modulo e: phi(e)/ord_e(d) cosets of size
+    ord_e(d), of which only the divisor coset m/e (minimal in its orbit)
+    can have c(v) != 1.  ord_e(d) is computed once per prime power of m."""
+    prime_parts = _prime_parts(m)
+    divisors = [(1, 1, 1)]  # (e, phi(e), ord_e(d)) over the divisors of m
+    for p, pi, _ in prime_parts:
+        powers = [p**t for t in range(nu(pi, p) + 1)]
+        power_orders = [multiplicative_order(d, q) for q in powers]
+        # phi(q) = q - q/p (1 at q = 1); ord_e(d) is the lcm over the CRT parts.
+        divisors = [
+            (e * q, phi * (q - q // p), math.lcm(o, o_q))
+            for e, phi, o in divisors
+            for q, o_q in zip(powers, power_orders)
+        ]
+    orders: list[int] = []
+    for e, phi, o in divisors[1:]:
+        full = abs(d**o - 1)
+        count = phi // o
         if reduced:
-            c = _c_value(cs, v)
+            v = m // e
+            c = _c_value(v, m, d, prime_parts)
             if full % c != 0:
                 raise AssertionError(f"c({v}) = {c} does not divide {full}")
-            full //= c
-        orders.append(full)
+            orders.append(full // c)
+            count -= 1
+        orders.extend([full] * count)
     return orders
 
 
 def sand_dune_group(n: int, d: int) -> AbelianGroup:
     """Sigma(n, d) in closed form: the |d|-power kernel tower plus one
-    cyclic summand Z_{|d^o(v) - 1|} per cyclotomic coset of m."""
+    cyclic summand Z_{|d^o(v) - 1|} per cyclotomic coset of m, counted per
+    divisor e of m (phi(e)/ord_e(d) cosets of size ord_e(d))."""
     ds = d_sequence(n, d)
-    cs = cyclotomic_cosets(ds.m, d)
-    return abelian.from_cyclic_orders(_tower_orders(ds, False) + _coset_orders(cs, False))
+    return abelian.from_cyclic_orders(_tower_orders(ds, False) + _coset_orders(ds.m, d, False))
 
 
 def sandpile_group(n: int, d: int) -> AbelianGroup:
     """S(n, d) in closed form: the tower with its first summand divided by
-    d_i, and coset summands Z_{|d^o(v) - 1| / c(v)}."""
+    d_i, and coset summands Z_{|d^o(v) - 1| / c(v)} counted per divisor of
+    m as for Sigma; c(v) != 1 only on the divisor cosets M_p and m/2."""
     ds = d_sequence(n, d)
-    cs = cyclotomic_cosets(ds.m, d)
-    return abelian.from_cyclic_orders(_tower_orders(ds, True) + _coset_orders(cs, True))
+    return abelian.from_cyclic_orders(_tower_orders(ds, True) + _coset_orders(ds.m, d, True))
 
 
 def kernel_parts(n: int, d: int) -> tuple[AbelianGroup, AbelianGroup]:
@@ -427,7 +458,7 @@ def sandpile_generators(m: int, d: int) -> dict[int, tuple[SigmaElement, int]]:
     for orbit in cs.orbits:
         v = orbit[0]
         full = abs(d ** len(orbit) - 1)
-        c = _c_value(cs, v)
+        c = _c_value(v, m, d, cs.prime_parts)
         claimed = full // c
         if v in vstar_set:
             p, pi, big_m, t = _vstar_split(cs, v)

@@ -127,21 +127,31 @@ def check_crt_split(n_max: int = 60, d_max: int = 8) -> int:
 
 
 def check_coprime_cosets(m_max: int = 60, d_max: int = 8) -> int:
-    """For gcd(m, d) = 1: Sigma(m, d) is exactly one Z_{|d^o(v)-1|} per coset."""
+    """For gcd(m, d) = 1: Sigma(m, d) is exactly one Z_{|d^o(v)-1|} per coset
+    and S(m, d) one Z_{|d^o(v)-1| / c(v)}, with the cosets walked out of Z_m
+    (the closed forms count them per divisor of m instead)."""
     checks = 0
     for d in _signed(d_max):
         for m in range(1, m_max + 1):
             if math.gcd(m, abs(d)) != 1:
                 continue
-            cs = closed_form.cyclotomic_cosets(m, d)
-            expected = abelian.from_cyclic_orders(
-                [abs(d ** len(orbit) - 1) for orbit in cs.orbits]
-            )
+            full = {
+                orbit[0]: abs(d ** len(orbit) - 1)
+                for orbit in closed_form.cyclotomic_cosets(m, d).orbits
+            }
+            expected = abelian.from_cyclic_orders(full.values())
             got = closed_form.sand_dune_group(m, d)
             if got != expected:
                 _fail("coprime cosets", f"(m, d)=({m}, {d})",
                       f"coset product {expected} != Sigma {got}")
-            checks += 1
+            expected = abelian.from_cyclic_orders(
+                order // closed_form.c_value(v, m, d) for v, order in full.items()
+            )
+            got = closed_form.sandpile_group(m, d)
+            if got != expected:
+                _fail("coprime cosets", f"(m, d)=({m}, {d})",
+                      f"reduced coset product {expected} != S {got}")
+            checks += 2
     return checks
 
 

@@ -159,3 +159,14 @@ def test_criterion_12_closed_forms_at_rank_1e5(capsys):
         assert sandpile.rank == n // 2 - 1
         assert dune.order == n * sandpile.order
         assert from_cyclic_orders(sandpile.invariant_factors) == sandpile
+
+
+def test_criterion_13_closed_forms_with_many_cosets(capsys):
+    # m = 3 * (2^20 - 1) is odd, so it is the whole coprime part: 87,475
+    # binary cyclotomic cosets, counted per divisor of m.
+    n = 3 * 2**20 - 3
+    with criterion(capsys, 13, f"closed forms with ~10^5 cosets, (n, d) = ({n}, 2)", budget=9.0):
+        sandpile = sandpile_group(n, 2)
+        dune = sand_dune_group(n, 2)
+        assert dune.order == n * sandpile.order
+        assert from_cyclic_orders(sandpile.invariant_factors) == sandpile

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sandpiles import circulant, cli
+from sandpiles import circulant, cli, verify
 from sandpiles.abelian import from_cyclic_orders
 from sandpiles.verify import VerificationFailure
 
@@ -272,6 +272,12 @@ def test_verify_small_sweep(capsys):
     assert err  # progress chatter goes to stderr, not into the JSON
 
 
+def test_verify_checks_both_coset_groups_against_the_walk():
+    # One comparison each for Sigma(m, d) and S(m, d) per coprime pair:
+    # m in {1, 3, 5} for d = +-2 and m in {1, 2, 4, 5} for d = +-3.
+    assert verify.check_coprime_cosets(6, 3) == 2 * (2 * 3 + 2 * 4)
+
+
 def test_verify_failure_path(capsys, monkeypatch):
     def explode(config, progress=None):
         raise VerificationFailure("synthetic mismatch for the failure path")
@@ -316,3 +322,19 @@ def test_main_ends_quietly_when_the_reader_closes_early():
         proc.wait(timeout=120)
         stderr = proc.stderr.read()
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_main_prints_orders_past_the_int_string_limit(long_int_strings):
+    # |C'(16384, 2)| has 4932 digits, past Python's default 4300-digit limit
+    # on int-to-str conversion; the entry point lifts it for its process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "sandpiles", "circulant", "--n", "16384", "--q", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    group, _ = circulant.unit_group_closed(16384, 2)
+    assert int(json.loads(done.stdout)["group"]["order"]) == group.order

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sandpiles.abelian import TRIVIAL_GROUP, from_cyclic_orders
 from sandpiles.arith import prime_factors
 from sandpiles.closed_form import (
     SigmaElement,
+    _coset_orders,
     c_value,
     cyclotomic_cosets,
     d_sequence,
@@ -179,6 +181,57 @@ def test_c_value_examples():
     assert c_value(7, 15, 2) == 1
     with pytest.raises(ValueError):
         c_value(3, 4, 3)  # 3 sits in the orbit of 1
+
+
+def test_c_value_at_a_million():
+    # m = 1000001 = 101 * 9901: only v's own orbit is walked, never Z_m.
+    m = 101 * 9901
+    assert c_value(9901, m, 2) == 101
+    assert c_value(101, m, 2) == 9901
+    assert c_value(1, m, 2) == 1
+    with pytest.raises(ValueError):
+        c_value(2, m, 2)  # 2 sits in the orbit of 1
+
+
+def coset_orders_by_walk(m, d, reduced):
+    """Reference for the per-divisor coset count: walk Z_m into its orbits
+    and take one order |d^o - 1| per orbit, divided by c at the orbit's
+    representative when reduced."""
+    orders = []
+    for orbit in cyclotomic_cosets(m, d).orbits:
+        full = abs(d ** len(orbit) - 1)
+        if reduced:
+            c = c_value(orbit[0], m, d)
+            assert full % c == 0
+            full //= c
+        orders.append(full)
+    return orders
+
+
+def test_coset_count_matches_walk_on_every_small_modulus():
+    # Every coprime (m, d) with m <= 400 and d in +-{2..9}; this includes
+    # the exceptional 2-adic cases 4 | m, d = 3 mod 4.
+    for d in [*range(2, 10), *range(-9, -1)]:
+        for m in range(1, 401):
+            if math.gcd(m, d) != 1:
+                continue
+            for reduced in (False, True):
+                assert Counter(_coset_orders(m, d, reduced)) == Counter(
+                    coset_orders_by_walk(m, d, reduced)
+                ), (m, d, reduced)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**4),
+    st.one_of(st.integers(min_value=2, max_value=9), st.integers(min_value=-9, max_value=-2)),
+)
+def test_coset_count_matches_walk(m, d):
+    while math.gcd(m, d) != 1:  # shrink to the coprime part
+        m //= math.gcd(m, d)
+    for reduced in (False, True):
+        assert Counter(_coset_orders(m, d, reduced)) == Counter(
+            coset_orders_by_walk(m, d, reduced)
+        )
 
 
 def test_sand_dune_group_examples():

@@ -2,9 +2,12 @@
 README runs them."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from sandpiles.closed_form import sandpile_group
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +75,15 @@ def test_quotient_witness_ends_quietly_when_the_reader_closes_early():
         proc.wait(timeout=120)
         stderr = proc.stderr.read()
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_quotient_witness_prints_orders_past_the_int_string_limit(long_int_strings):
+    # |S(2401, 2401)| has 8110 digits, past Python's default 4300-digit limit
+    # on int-to-str conversion; the script lifts it for its process.
+    done = run_script(
+        "quotient_witness.py", "--p-max", "7", "--r-max", "4", "--k-max", "4", "--brute-cap", "1"
+    )
+    assert done.returncode == 0, done.stderr
+    found = re.search(r"^n=2401 q=2401 order=(\d+) ", done.stdout, re.MULTILINE)
+    assert found is not None
+    assert int(found.group(1)) == sandpile_group(2401, 2401).order
