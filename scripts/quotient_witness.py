@@ -2,28 +2,25 @@
 """Hunt for equal-order, non-isomorphic pairs C'(n, q)/<x> vs S(n, q).
 
 Over the prime field the circulant quotient is isomorphic to the sandpile
-group for every n.  Over proper extensions F_{p^r} with n a power of p the
-two groups always share their order |S(n, q)| = |C'(n, q)| / n, yet the
-structures can differ: (9, 9) is the odd-characteristic witness checked in
-the verification battery, and this scan turns up even smaller pairs such as
-(n, q) = (4, 4) and (3, 9).  Every comparison is reported, with the quotient
-structure confirmed by exhaustive enumeration when it fits under the cap.
+group for every n.  Over proper extensions F_{p^r} with p | n the two
+groups share their order |S(n, q)| = |C'(n, q)| / n, yet the structures can
+differ: (9, 9) is the odd-characteristic witness checked in the
+verification battery, and this scan turns up even smaller pairs such as
+(n, q) = (4, 4) and (3, 9), and with a mixed modulus (6, 4).  The scan takes
+n = p^k for k <= --k-max and every multiple of p up to --n-max.  Every
+comparison is reported, with the quotient structure confirmed by exhaustive
+enumeration when it fits under the cap.
 
     python3 scripts/quotient_witness.py --r-max 3 --k-max 3
-    python3 scripts/quotient_witness.py --brute-cap 4194304
+    python3 scripts/quotient_witness.py --n-max 30 --brute-cap 4194304
 """
 
 import argparse
 import os
 import sys
 
-from sandpiles.abelian import structure_from_torsion_counts
 from sandpiles.arith import is_prime
-from sandpiles.circulant import (
-    enumeration_cap,
-    quotient_p_torsion_counts,
-    unit_group_brute,
-)
+from sandpiles.circulant import enumeration_cap, quotient_group_closed, unit_group_brute
 from sandpiles.closed_form import sandpile_group
 
 
@@ -33,6 +30,9 @@ def main() -> None:
     parser.add_argument("--p-max", type=int, default=5, help="largest characteristic")
     parser.add_argument("--r-max", type=int, default=3, help="largest extension degree")
     parser.add_argument("--k-max", type=int, default=3, help="largest exponent in n = p^k")
+    parser.add_argument(
+        "--n-max", type=int, default=0, help="also scan every multiple of p up to this"
+    )
     parser.add_argument(
         "--brute-cap",
         type=int,
@@ -48,11 +48,9 @@ def main() -> None:
             continue
         for r in range(2, args.r_max + 1):
             q = p**r
-            for k in range(1, args.k_max + 1):
-                n = p**k
-                quotient = structure_from_torsion_counts(
-                    p, quotient_p_torsion_counts(n, q)
-                )
+            powers = {p**k for k in range(1, args.k_max + 1)}
+            for n in sorted(powers.union(range(p, args.n_max + 1, p))):
+                quotient, _ = quotient_group_closed(n, q)
                 sandpile = sandpile_group(n, q)
                 assert quotient.order == sandpile.order
                 verdict = "isomorphic" if quotient == sandpile else "DIFFER"

@@ -19,10 +19,6 @@ from .abelian import (
 from .circulant import (
     FiniteField,
     RingElement,
-    circulant_group_coprime,
-    circulant_quotient_coprime,
-    circulant_quotient_prime,
-    circulant_star_group_prime,
     field_for,
     is_restricted_unit,
     is_unit,
@@ -79,10 +75,6 @@ __all__ = [
     "torsion_counts",
     "FiniteField",
     "RingElement",
-    "circulant_group_coprime",
-    "circulant_quotient_coprime",
-    "circulant_quotient_prime",
-    "circulant_star_group_prime",
     "field_for",
     "is_restricted_unit",
     "is_unit",

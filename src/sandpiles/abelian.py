@@ -115,13 +115,9 @@ class AbelianGroup:
 TRIVIAL_GROUP = AbelianGroup()
 
 
-def from_cyclic_orders(orders) -> AbelianGroup:
-    """Canonical form of the direct sum of cyclic groups Z_{orders[i]}.
-
-    Orders equal to 1 contribute nothing and are dropped; zero or negative
-    orders are rejected.  Each distinct order is merged once, with its count.
-    """
-    chain: list[int] = []
+def _merged(chain: list[int], orders) -> AbelianGroup:
+    """The canonical chain with the cyclic groups Z_{orders[i]} merged in,
+    each distinct order once, with its count."""
     for m, c in Counter(orders).items():
         if m < 1:
             raise ValueError(f"cyclic order must be positive, got {m}")
@@ -130,9 +126,23 @@ def from_cyclic_orders(orders) -> AbelianGroup:
     return AbelianGroup(tuple(chain))
 
 
+def from_cyclic_orders(orders) -> AbelianGroup:
+    """Canonical form of the direct sum of cyclic groups Z_{orders[i]}.
+
+    Orders equal to 1 contribute nothing and are dropped; zero or negative
+    orders are rejected.  Each distinct order is merged once, with its count.
+    """
+    return _merged([], orders)
+
+
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
-    """Canonical form of the direct sum of the given groups."""
-    return from_cyclic_orders(m for g in groups for m in g.invariant_factors)
+    """Canonical form of the direct sum of the given groups.  The chain of
+    the group of largest rank is already canonical, so only the others'
+    invariant factors are merged into it."""
+    if not groups:
+        return TRIVIAL_GROUP
+    *rest, base = sorted(groups, key=lambda g: g.rank)
+    return _merged(list(base.invariant_factors), (m for g in rest for m in g.invariant_factors))
 
 
 def is_isomorphic(a: AbelianGroup, b: AbelianGroup) -> bool:

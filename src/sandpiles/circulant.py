@@ -7,12 +7,13 @@ all-ones vector).  This module provides:
 
 * explicit small finite fields and ring elements, with unit tests via
   polynomial gcd;
-* closed forms: for gcd(n, q) = 1 the group C'(n, q) matches the sand dune
-  group Sigma(n, q) and C'(n, q)/<x> the sandpile group S(n, q); for prime
-  q a p-power Sylow tower handles gcd(n, p) > 1;
-* torsion-count oracles: in characteristic p the p-th power map is a ring
-  endomorphism, so the count #{u : u^(p^i) = 1} has a closed form and
-  reconstructs the Sylow p-subgroup without enumeration;
+* closed forms by one rule: write n = p^k * m with gcd(m, p) = 1.  Then
+  C'(n, q) is the Sylow tower 1 + (x^m - 1) plus the coprime part
+  C'(m, q) = Sigma(m, q), and C'(n, q)/<x> is the tower without one
+  Z_{p^k} of largest order plus S(m, q);
+* torsion-count references: in characteristic p the p-th power map is a
+  ring endomorphism, so the count #{u : u^(p^i) = 1} has a closed form that
+  reconstructs the Sylow p-subgroup independently of the tower;
 * a vectorized brute-force enumerator (numpy) that computes any of these
   groups by counting torsion directly, for q^n up to a configurable cap.
   It works in keys: an element's key is its enumeration index, the ring is
@@ -266,10 +267,6 @@ def is_restricted_unit(c: RingElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class NoClosedForm(ValueError):
-    """No closed decomposition covers these parameters; enumerate instead."""
-
-
 def _ring_args(n: int, q: int) -> tuple[int, int]:
     """Validate the ring F_q[x]/(x^n - 1): q = p^r and n >= 1; returns (p, r)."""
     pp = prime_power(q)
@@ -278,28 +275,6 @@ def _ring_args(n: int, q: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return pp
-
-
-def _coprime_args(m: int, q: int) -> None:
-    _ring_args(m, q)
-    if math.gcd(m, q) != 1:
-        raise ValueError(f"need gcd(m, q) = 1, got gcd({m}, {q}) != 1")
-
-
-def circulant_group_coprime(m: int, q: int) -> AbelianGroup:
-    """C'(m, q) for gcd(m, q) = 1: one summand Z_{q^o(v) - 1} per coset.
-
-    This is literally the sand dune group Sigma(m, q) and shares its
-    construction.
-    """
-    _coprime_args(m, q)
-    return sand_dune_group(m, q)
-
-
-def circulant_quotient_coprime(m: int, q: int) -> AbelianGroup:
-    """C'(m, q)/<x> for gcd(m, q) = 1: equals the sandpile group S(m, q)."""
-    _coprime_args(m, q)
-    return sandpile_group(m, q)
 
 
 def relation_exponents(m: int, q: int) -> dict[int, int]:
@@ -320,53 +295,66 @@ def relation_exponents(m: int, q: int) -> dict[int, int]:
     return out
 
 
-def _sylow_tower(n: int, p: int) -> tuple[list[int], int]:
-    """The p-power tower of C'(n, p) for prime p and n = p^k * m with
-    gcd(m, p) = 1: Z_{p^(k-1-i)} with multiplicity p^i (p-1)^2 m for i < k - 1,
-    then (p-1) m copies of Z_{p^k}, listed last.  Returns the orders and m."""
-    if _ring_args(n, p)[1] != 1:
-        raise ValueError(f"{p} is not prime")
+def _sylow_tower(n: int, q: int) -> tuple[list[int], int]:
+    """The Sylow p-subgroup 1 + (x^m - 1) of C'(n, q) for q = p^r and
+    n = p^k * m with gcd(m, p) = 1: Z_{p^(k-1-i)} with multiplicity
+    r p^i (p-1)^2 m for i < k - 1, then r (p-1) m copies of Z_{p^k}, listed
+    last.  Returns the orders and m."""
+    p, r = _ring_args(n, q)
     k = nu(n, p)
     m = n // p**k
     orders: list[int] = []
     if k >= 1:
         for i in range(k - 1):
-            orders.extend([p ** (k - 1 - i)] * (p**i * (p - 1) ** 2 * m))
-        orders.extend([p**k] * ((p - 1) * m))
+            orders.extend([p ** (k - 1 - i)] * (r * p**i * (p - 1) ** 2 * m))
+        orders.extend([p**k] * (r * (p - 1) * m))
     return orders, m
 
 
-def circulant_star_group_prime(n: int, p: int) -> AbelianGroup:
-    """C'(n, p) for prime p and any n = p^k * m: a p-power tower plus the
-    coprime part C'(m, p)."""
-    orders, m = _sylow_tower(n, p)
-    return abelian.direct_sum(
-        abelian.from_cyclic_orders(orders), circulant_group_coprime(m, p)
-    )
+def star_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
+    """C'(n, q) in closed form, with its method tag: the Sylow tower plus the
+    coprime part C'(m, q), which is the sand dune group Sigma(m, q)."""
+    orders, m = _sylow_tower(n, q)
+    group = abelian.direct_sum(abelian.from_cyclic_orders(orders), sand_dune_group(m, q))
+    return group, "closed_form"
 
 
-def circulant_quotient_prime(n: int, p: int) -> AbelianGroup:
-    """C'(n, p)/<x> for prime p and any n: the p-power tower loses one
-    Z_{p^k} generator to <x>, the coprime part becomes S(m, p).
+def quotient_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
+    """C'(n, q)/<x> in closed form, with its method tag.
 
-    The result is checked against the closed-form sandpile group S(n, p);
-    a mismatch means an implementation bug and raises.
+    The p-part of x generates a Z_{p^k} of largest order in the tower, so it
+    splits off and the tower loses its last summand; the prime-to-p part of
+    x generates <x> in C'(m, q), whose quotient is S(m, q).  Over the prime
+    field the result is checked against the sandpile group S(n, p); a
+    mismatch means an implementation bug and raises.
     """
-    orders, m = _sylow_tower(n, p)
-    result = abelian.direct_sum(
-        abelian.from_cyclic_orders(orders[:-1]), circulant_quotient_coprime(m, p)
-    )
-    expected = sandpile_group(n, p)
-    if result != expected:
-        raise AssertionError(
-            f"quotient tower for (n, p) = ({n}, {p}) gave {result}, "
-            f"but the sandpile group is {expected}"
-        )
-    return result
+    orders, m = _sylow_tower(n, q)
+    group = abelian.direct_sum(abelian.from_cyclic_orders(orders[:-1]), sandpile_group(m, q))
+    if orders and is_prime(q):
+        expected = sandpile_group(n, q)
+        if group != expected:
+            raise AssertionError(
+                f"quotient tower for (n, p) = ({n}, {q}) gave {group}, "
+                f"but the sandpile group is {expected}"
+            )
+    return group, "closed_form"
+
+
+def unit_group_closed(
+    n: int, q: int, restricted: bool = False, modulo_x: bool = False
+) -> tuple[AbelianGroup, str]:
+    """C(n, q), C'(n, q), or either modulo <x> in closed form, with its
+    method tag.  C = C' + Z_{q-1}: the constants F_q^* complement C', the
+    kernel of evaluation at x = 1, and <x> lies inside C', so the quotient
+    splits the same way."""
+    base, method = quotient_group_closed(n, q) if modulo_x else star_group_closed(n, q)
+    if restricted:
+        return base, method
+    return abelian.direct_sum(base, abelian.from_cyclic_orders([q - 1])), method
 
 
 # ---------------------------------------------------------------------------
-# Torsion-count oracles (no enumeration)
+# Torsion-count references (no enumeration)
 # ---------------------------------------------------------------------------
 
 
@@ -395,8 +383,7 @@ def quotient_p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[
     k = nu(n, p)
     if p**k != n:
         raise ValueError(
-            f"quotient torsion counts need n to be a power of char {p}; "
-            f"got n = {n} (use the brute-force enumerator instead)"
+            f"quotient torsion counts need n to be a power of char {p}; got n = {n}"
         )
     if max_i is None:
         max_i = k + 1
@@ -408,57 +395,6 @@ def quotient_p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[
             raise AssertionError(f"tally {tally} not divisible by n = {n}")
         counts.append(tally // n)
     return counts
-
-
-def star_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
-    """C'(n, q) by the best available closed route, with a method tag.
-
-    Coprime and prime-q cases use the fully closed forms; otherwise the
-    Sylow p-part comes from torsion-count reconstruction and the rest from
-    the coprime formula (valid for every n, q since p never divides
-    q^o(v) - 1).
-    """
-    p, r = _ring_args(n, q)
-    if math.gcd(n, q) == 1:
-        return circulant_group_coprime(n, q), "closed_form"
-    if r == 1:
-        return circulant_star_group_prime(n, q), "closed_form"
-    m = n // p ** nu(n, p)
-    sylow_p = structure_from_torsion_counts(p, p_torsion_counts(n, q))
-    return abelian.direct_sum(sylow_p, circulant_group_coprime(m, q)), "torsion_counts"
-
-
-def quotient_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
-    """C'(n, q)/<x> by the best available closed route, with a method tag.
-
-    Raises NoClosedForm for a proper extension field and a modulus that is
-    neither coprime to q nor a power of the characteristic.
-    """
-    p, r = _ring_args(n, q)
-    if math.gcd(n, q) == 1:
-        return circulant_quotient_coprime(n, q), "closed_form"
-    if r == 1:
-        return circulant_quotient_prime(n, q), "closed_form"
-    if n == p ** nu(n, p):
-        counts = quotient_p_torsion_counts(n, q)
-        return structure_from_torsion_counts(p, counts), "torsion_counts"
-    raise NoClosedForm(
-        f"no closed decomposition of C'({n}, {q})/<x> with q = p^{r}, r > 1 "
-        f"and a mixed modulus; use the brute-force enumerator"
-    )
-
-
-def unit_group_closed(
-    n: int, q: int, restricted: bool = False, modulo_x: bool = False
-) -> tuple[AbelianGroup, str]:
-    """C(n, q), C'(n, q), or either modulo <x> by the closed routes, with a
-    method tag.  C = C' + Z_{q-1}: the constants F_q^* complement C', the
-    kernel of evaluation at x = 1, and <x> lies inside C', so the quotient
-    splits the same way.  Raises NoClosedForm as quotient_group_closed does."""
-    base, method = quotient_group_closed(n, q) if modulo_x else star_group_closed(n, q)
-    if restricted:
-        return base, method
-    return abelian.direct_sum(base, abelian.from_cyclic_orders([q - 1])), method
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .circulant import NoClosedForm, enumeration_cap, unit_group_brute, unit_group_closed
+from .circulant import enumeration_cap, unit_group_brute, unit_group_closed
 from .closed_form import sand_dune_group, sandpile_group, sigma_relation_matrix
 from .digraphs import build_consecutive_d, de_bruijn, kautz, laplacian, sandpile_group_snf
 from .exact_linalg import determinant, parse_matrix, smith_group, smith_normal_form
@@ -124,17 +124,7 @@ def _cmd_circulant(args: argparse.Namespace) -> tuple[dict, int]:
     if args.brute:
         group, method = unit_group_brute(n, q, cap=args.cap, **mode), "brute"
     else:
-        try:
-            group, method = unit_group_closed(n, q, **mode)
-        except NoClosedForm:
-            if args.closed:
-                raise
-            print(
-                f"no closed decomposition for this case; enumerating "
-                f"{q}^{n} ring elements",
-                file=sys.stderr,
-            )
-            group, method = unit_group_brute(n, q, cap=args.cap, **mode), "brute"
+        group, method = unit_group_closed(n, q, **mode)
     doc = {
         "command": "circulant",
         "n": n,
@@ -241,12 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="quotient by the cyclic subgroup generated by x",
     )
-    route = circ.add_mutually_exclusive_group()
-    route.add_argument(
+    circ.add_argument(
         "--brute", action="store_true", help="force brute-force enumeration"
-    )
-    route.add_argument(
-        "--closed", action="store_true", help="force the closed-form route"
     )
     circ.add_argument(
         "--cap",

@@ -280,11 +280,11 @@ def check_circulant_coprime(m_max: int = 40, q_max: int = 9) -> int:
         for m in range(1, m_max + 1):
             if math.gcd(m, q) != 1:
                 continue
-            star = circulant.circulant_group_coprime(m, q)
+            star, _ = circulant.star_group_closed(m, q)
             if star != closed_form.sand_dune_group(m, q):
                 _fail("circulant coprime star", f"(m, q)=({m}, {q})",
                       f"{star} != Sigma {closed_form.sand_dune_group(m, q)}")
-            quotient = circulant.circulant_quotient_coprime(m, q)
+            quotient, _ = circulant.quotient_group_closed(m, q)
             if quotient != closed_form.sandpile_group(m, q):
                 _fail("circulant coprime quotient", f"(m, q)=({m}, {q})",
                       f"{quotient} != S {closed_form.sandpile_group(m, q)}")
@@ -304,11 +304,11 @@ def check_circulant_prime(n_max: int = 40, p_max: int = 7) -> int:
         if p > p_max:
             continue
         for n in range(1, n_max + 1):
-            star = circulant.circulant_star_group_prime(n, p)
+            star, _ = circulant.star_group_closed(n, p)
             if star != closed_form.sand_dune_group(n, p):
                 _fail("circulant prime star", f"(n, p)=({n}, {p})",
                       f"{star} != Sigma {closed_form.sand_dune_group(n, p)}")
-            quotient = circulant.circulant_quotient_prime(n, p)
+            quotient, _ = circulant.quotient_group_closed(n, p)
             if quotient != closed_form.sandpile_group(n, p):
                 _fail("circulant prime quotient", f"(n, p)=({n}, {p})",
                       f"{quotient} != S {closed_form.sandpile_group(n, p)}")
@@ -316,21 +316,31 @@ def check_circulant_prime(n_max: int = 40, p_max: int = 7) -> int:
     return checks
 
 
-def check_torsion_oracle(n_max: int = 64, p_max: int = 7) -> int:
-    """Sylow-p subgroup reconstructed from closed-form torsion counts equals
-    the Sylow-p part of the tower decomposition of C'(n, p)."""
+def check_torsion_oracle(n_max: int = 64, q_max: int = 7) -> int:
+    """For every q = p^r: the Sylow p-subgroup reconstructed from closed-form
+    torsion counts equals the Sylow p-part of the tower form of C'(n, q),
+    and for n = p^k the quotient reconstructed from its torsion counts
+    equals the tower form of C'(n, q)/<x>."""
     checks = 0
-    for p in (2, 3, 5, 7):
-        if p > p_max:
+    for q in PRIME_POWERS_TO_9:
+        if q > q_max:
             continue
+        p, _ = prime_power(q)
         for n in range(1, n_max + 1):
-            counts = circulant.p_torsion_counts(n, p)
-            rebuilt = structure_from_torsion_counts(p, counts)
-            expected = circulant.circulant_star_group_prime(n, p).sylow(p)
+            rebuilt = structure_from_torsion_counts(p, circulant.p_torsion_counts(n, q))
+            expected = circulant.star_group_closed(n, q)[0].sylow(p)
             if rebuilt != expected:
-                _fail("torsion oracle", f"(n, p)=({n}, {p})",
+                _fail("torsion oracle", f"(n, q)=({n}, {q})",
                       f"reconstruction {rebuilt} vs tower Sylow {expected}")
             checks += 1
+            if n == p ** nu(n, p):
+                counts = circulant.quotient_p_torsion_counts(n, q)
+                rebuilt = structure_from_torsion_counts(p, counts)
+                expected, _ = circulant.quotient_group_closed(n, q)
+                if rebuilt != expected:
+                    _fail("quotient torsion oracle", f"(n, q)=({n}, {q})",
+                          f"reconstruction {rebuilt} vs tower quotient {expected}")
+                checks += 1
     return checks
 
 
@@ -365,8 +375,8 @@ def check_circulant_brute(
     progress: Progress = None,
 ) -> int:
     """Exhaustive-enumeration agreement for every (n, q) under the cap:
-    C'(n, q) and C(n, q) against the closed routes, the quotient against its
-    closed route where one exists, and the order identities
+    C'(n, q), C(n, q) and the quotient C'(n, q)/<x> against the closed
+    routes, and the order identities
     |C| = (q-1)|C'| = (q-1) n |C'/<x>| unconditionally."""
     checks = 0
     limit = enumeration_cap(cap)
@@ -391,11 +401,8 @@ def check_circulant_brute(
             quotient_brute = circulant.unit_group_brute(
                 n, q, restricted=True, modulo_x=True, cap=limit
             )
-            try:
-                quotient_closed, _ = circulant.quotient_group_closed(n, q)
-            except circulant.NoClosedForm:
-                quotient_closed = None
-            if quotient_closed is not None and quotient_brute != quotient_closed:
+            quotient_closed, _ = circulant.quotient_group_closed(n, q)
+            if quotient_brute != quotient_closed:
                 _fail("brute quotient", f"(n, q)=({n}, {q})",
                       f"enumeration {quotient_brute} vs closed {quotient_closed}")
             if star_brute.order != n * quotient_brute.order:

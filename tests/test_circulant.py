@@ -17,12 +17,7 @@ from sandpiles.circulant import (
     _level_histograms,
     _power,
     FiniteField,
-    NoClosedForm,
     RingElement,
-    circulant_group_coprime,
-    circulant_quotient_coprime,
-    circulant_quotient_prime,
-    circulant_star_group_prime,
     enumeration_cap,
     field_for,
     is_restricted_unit,
@@ -106,19 +101,17 @@ def test_is_unit_examples():
 
 
 def test_coprime_groups():
-    assert circulant_group_coprime(3, 2) == from_cyclic_orders([3])
-    assert circulant_group_coprime(4, 3) == from_cyclic_orders([8, 2])
-    assert circulant_group_coprime(1, 7) == TRIVIAL_GROUP
-    assert circulant_quotient_coprime(3, 2) == TRIVIAL_GROUP
-    assert circulant_quotient_coprime(4, 3) == from_cyclic_orders([4])
+    assert star_group_closed(3, 2)[0] == from_cyclic_orders([3])
+    assert star_group_closed(4, 3)[0] == from_cyclic_orders([8, 2])
+    assert star_group_closed(1, 7)[0] == TRIVIAL_GROUP
+    assert quotient_group_closed(3, 2)[0] == TRIVIAL_GROUP
+    assert quotient_group_closed(4, 3)[0] == from_cyclic_orders([4])
     with pytest.raises(ValueError):
-        circulant_group_coprime(4, 2)
-    with pytest.raises(ValueError):
-        circulant_group_coprime(5, 6)
+        star_group_closed(5, 6)
     # The coprime circulant groups are literally the dune/sandpile groups.
     for m, q in ((5, 2), (7, 2), (8, 3), (5, 4), (10, 9)):
-        assert circulant_group_coprime(m, q) == sand_dune_group(m, q)
-        assert circulant_quotient_coprime(m, q) == sandpile_group(m, q)
+        assert star_group_closed(m, q)[0] == sand_dune_group(m, q)
+        assert quotient_group_closed(m, q)[0] == sandpile_group(m, q)
 
 
 def test_relation_exponents():
@@ -131,25 +124,21 @@ def test_relation_exponents():
 
 
 def test_star_group_prime():
-    assert circulant_star_group_prime(4, 2) == from_cyclic_orders([2, 4])
-    assert circulant_star_group_prime(3, 2) == from_cyclic_orders([3])
-    assert circulant_star_group_prime(9, 3) == from_cyclic_orders([3] * 4 + [9] * 2)
+    assert star_group_closed(4, 2)[0] == from_cyclic_orders([2, 4])
+    assert star_group_closed(3, 2)[0] == from_cyclic_orders([3])
+    assert star_group_closed(9, 3)[0] == from_cyclic_orders([3] * 4 + [9] * 2)
     # n = 12 = 2^2 * 3: tower Z_2^((p-1)^2 m) + Z_4^((p-1) m) on top of C'(3, 2).
-    assert circulant_star_group_prime(12, 2) == direct_sum(
-        from_cyclic_orders([2] * 3 + [4] * 3), circulant_group_coprime(3, 2)
+    assert star_group_closed(12, 2)[0] == direct_sum(
+        from_cyclic_orders([2] * 3 + [4] * 3), sand_dune_group(3, 2)
     )
-    with pytest.raises(ValueError):
-        circulant_star_group_prime(4, 4)
 
 
 def test_quotient_group_prime():
-    assert circulant_quotient_prime(4, 2) == from_cyclic_orders([2])
-    assert circulant_quotient_prime(3, 2) == TRIVIAL_GROUP
+    assert quotient_group_closed(4, 2)[0] == from_cyclic_orders([2])
+    assert quotient_group_closed(3, 2)[0] == TRIVIAL_GROUP
     expected = sandpile_group(9, 3)
-    assert circulant_quotient_prime(9, 3) == expected
+    assert quotient_group_closed(9, 3)[0] == expected
     assert expected == from_cyclic_orders([3] * 4 + [9])
-    with pytest.raises(ValueError):
-        circulant_quotient_prime(9, 9)
 
 
 def test_p_torsion_counts():
@@ -176,17 +165,20 @@ def test_quotient_p_torsion_counts():
 
 def test_closed_dispatchers():
     group, method = star_group_closed(5, 4)
-    assert method == "closed_form" and group == circulant_group_coprime(5, 4)
-    group, method = star_group_closed(12, 2)
-    assert method == "closed_form" and group == circulant_star_group_prime(12, 2)
+    assert method == "closed_form" and group == sand_dune_group(5, 4)
+    # Over F_4 every tower multiplicity doubles: C'(2, 4) = Z_2^2.
+    assert star_group_closed(2, 4) == (from_cyclic_orders([2, 2]), "closed_form")
     group, method = star_group_closed(6, 4)
-    assert method == "torsion_counts"
+    assert method == "closed_form"
     assert group == unit_group_brute(6, 4, restricted=True)
     group, method = quotient_group_closed(4, 4)
-    assert method == "torsion_counts"
+    assert method == "closed_form"
     assert group == unit_group_brute(4, 4, restricted=True, modulo_x=True)
-    with pytest.raises(ValueError):
-        quotient_group_closed(6, 4)  # mixed modulus over a proper extension
+    # Mixed modulus over a proper extension: Z_2^4 + Z_6, not S(6, 4).
+    group, method = quotient_group_closed(6, 4)
+    assert method == "closed_form" and group == from_cyclic_orders([2, 2, 2, 2, 6])
+    assert group == unit_group_brute(6, 4, restricted=True, modulo_x=True)
+    assert group != sandpile_group(6, 4) and group.order == sandpile_group(6, 4).order
 
 
 def test_unit_group_closed_modes():
@@ -196,14 +188,9 @@ def test_unit_group_closed_modes():
         constants = from_cyclic_orders([q - 1])
         assert unit_group_closed(n, q, restricted=True) == (star, star_method)
         assert unit_group_closed(n, q) == (direct_sum(star, constants), star_method)
-        try:
-            quotient, method = quotient_group_closed(n, q)
-        except NoClosedForm:
-            continue
+        quotient, method = quotient_group_closed(n, q)
         assert unit_group_closed(n, q, restricted=True, modulo_x=True) == (quotient, method)
         assert unit_group_closed(n, q, modulo_x=True) == (direct_sum(quotient, constants), method)
-    with pytest.raises(NoClosedForm):
-        unit_group_closed(6, 4, restricted=True, modulo_x=True)
     with pytest.raises(ValueError):
         unit_group_closed(0, 4)
 
@@ -287,12 +274,8 @@ def test_brute_matches_closed_forms():
             assert unit_group_brute(n, q, restricted=True) == star
             brute_quot = unit_group_brute(n, q, restricted=True, modulo_x=True)
             assert star.order == n * brute_quot.order
-            try:
-                quot, _ = quotient_group_closed(n, q)
-            except ValueError:
-                quot = None
-            if quot is not None:
-                assert brute_quot == quot
+            quot, _ = quotient_group_closed(n, q)
+            assert brute_quot == quot
             n += 1
 
 

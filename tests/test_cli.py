@@ -97,7 +97,7 @@ def test_circulant_routes(capsys):
         capsys, "circulant", "--n", "4", "--q", "4", "--restricted", "--mod-x"
     )
     assert code == 0
-    assert doc["method"] == "torsion_counts"
+    assert doc["method"] == "closed_form"
     code, doc, _ = run_cli(
         capsys, "circulant", "--n", "4", "--q", "3", "--restricted", "--brute"
     )
@@ -112,27 +112,37 @@ def test_circulant_full_group_and_fallback(capsys):
     assert code == 0
     restricted = from_cyclic_orders([3, 3])  # C'(3, 4): two fixed cosets
     assert doc["group"]["order"] == str(restricted.order * 3)
-    # Mixed modulus over a proper extension: quotient falls back to brute.
+    # Mixed modulus over a proper extension: the quotient has a closed form
+    # too, and enumeration agrees with it.
     code, doc, err = run_cli(
         capsys, "circulant", "--n", "6", "--q", "4", "--restricted", "--mod-x"
     )
     assert code == 0
-    assert doc["method"] == "brute"
-    assert "enumerating" in err
+    assert doc["method"] == "closed_form"
+    assert "enumerating" not in err
+    code, brute, _ = run_cli(
+        capsys, "circulant", "--n", "6", "--q", "4", "--restricted", "--mod-x", "--brute"
+    )
+    assert code == 0 and brute["method"] == "brute"
+    assert doc["group"] == brute["group"]
+
+
+def test_circulant_quotient_beyond_the_enumeration_cap(capsys):
+    # 4^3072 ring elements: no enumeration could serve this quotient.
+    code, quotient, err = run_cli(capsys, "circulant", "--n", "3072", "--q", "4", "--mod-x")
+    assert code == 0, err
+    assert quotient["method"] == "closed_form"
+    code, full, _ = run_cli(capsys, "circulant", "--n", "3072", "--q", "4")
+    assert code == 0
+    assert int(quotient["group"]["order"]) * 3072 == int(full["group"]["order"])
 
 
 def test_circulant_closed_refusal_and_cap(capsys):
-    code, doc, err = run_cli(
-        capsys, "circulant", "--n", "6", "--q", "4", "--restricted", "--mod-x", "--closed"
-    )
-    assert code == 2 and doc is None and "error:" in err
     code, doc, err = run_cli(
         capsys, "circulant", "--n", "6", "--q", "4", "--mod-x", "--brute", "--cap", "64"
     )
     assert code == 2 and doc is None and "64" in err
     code, _, _ = run_cli(capsys, "circulant", "--n", "4", "--q", "6")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "circulant", "--n", "4", "--q", "4", "--brute", "--closed")
     assert code == 2
 
 
@@ -155,7 +165,7 @@ def test_circulant_refuses_wide_characteristic_two_rings(capsys, monkeypatch):
 _small = st.integers(1, 12)
 _nonpositive = st.integers(-5, 0)
 _flags = st.sampled_from([[], ["--restricted"], ["--mod-x"], ["--restricted", "--mod-x"]])
-_routes = st.sampled_from([[], ["--brute"], ["--closed"]])
+_routes = st.sampled_from([[], ["--brute"]])
 
 
 @st.composite

@@ -33,6 +33,17 @@ def test_quotient_witness_finds_the_small_pairs():
     assert "enumeration confirms" in done.stdout
 
 
+def test_quotient_witness_scans_mixed_moduli():
+    # n = 6 = 2 * 3 over F_4: the smallest witness whose modulus is not a
+    # power of the characteristic.
+    done = run_script(
+        "quotient_witness.py", "--p-max", "2", "--r-max", "2", "--k-max", "1", "--n-max", "6"
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^n=6 +q=4 +order=96 +DIFFER \[enumeration confirms\]$", done.stdout, re.MULTILINE)
+    assert "non-isomorphic pairs: [(4, 4), (6, 4)]" in done.stdout
+
+
 def test_group_tables_check_passes():
     done = run_script(
         "group_tables.py", "--n-max", "6", "--d-max", "3", "--family", "both", "--check"
