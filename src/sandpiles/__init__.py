@@ -12,7 +12,6 @@ from .abelian import (
     TRIVIAL_GROUP,
     direct_sum,
     from_cyclic_orders,
-    is_isomorphic,
     structure_from_torsion_counts,
     torsion_counts,
 )
@@ -36,7 +35,6 @@ from .closed_form import (
     d_type,
     element_order_formula,
     element_order_in_sigma,
-    kernel_parts,
     sand_dune_group,
     sandpile_generators,
     sandpile_group,
@@ -70,7 +68,6 @@ __all__ = [
     "TRIVIAL_GROUP",
     "direct_sum",
     "from_cyclic_orders",
-    "is_isomorphic",
     "structure_from_torsion_counts",
     "torsion_counts",
     "FiniteField",
@@ -90,7 +87,6 @@ __all__ = [
     "d_type",
     "element_order_formula",
     "element_order_in_sigma",
-    "kernel_parts",
     "sand_dune_group",
     "sandpile_generators",
     "sandpile_group",

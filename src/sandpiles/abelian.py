@@ -145,11 +145,6 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
     return _merged(list(base.invariant_factors), (m for g in rest for m in g.invariant_factors))
 
 
-def is_isomorphic(a: AbelianGroup, b: AbelianGroup) -> bool:
-    """Isomorphism test; the representation is canonical, so this is =="""
-    return a.invariant_factors == b.invariant_factors
-
-
 def structure_from_torsion_counts(p: int, counts) -> AbelianGroup:
     """Reconstruct an abelian p-group from its torsion counts.
 

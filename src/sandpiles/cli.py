@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .circulant import enumeration_cap, unit_group_brute, unit_group_closed
+from .circulant import _BYTES_PER_ELEMENT, enumeration_cap, unit_group_brute, unit_group_closed
 from .closed_form import sand_dune_group, sandpile_group, sigma_relation_matrix
 from .digraphs import build_consecutive_d, de_bruijn, kautz, laplacian, sandpile_group_snf
 from .exact_linalg import determinant, parse_matrix, smith_group, smith_normal_form
@@ -84,6 +84,9 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_consecutive(args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.perf_counter()
+    # Refuse a root outside the vertices before the dense digraph is built.
+    if args.n >= 1 and not 0 <= args.root < args.n:
+        raise ValueError(f"vertex {args.root} outside 0..{args.n - 1}")
     graph = build_consecutive_d(args.d, args.n, args.q, args.r)
     group = sandpile_group_snf(graph, args.root)
     doc = {
@@ -238,7 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"enumeration cap on q^n (default {enumeration_cap()}; ~37 B/element)",
+        help=(
+            f"enumeration cap on q^n (default {enumeration_cap()}; "
+            f"~{_BYTES_PER_ELEMENT} B/element)"
+        ),
     )
 
     ver = sub.add_parser("verify", help="run the full property sweep")

@@ -46,7 +46,6 @@ __all__ = [
     "c_value",
     "sand_dune_group",
     "sandpile_group",
-    "kernel_parts",
     "membership_in_sandpile",
     "sandpile_generators",
     "sigma_relation_matrix",
@@ -390,15 +389,6 @@ def sandpile_group(n: int, d: int) -> AbelianGroup:
     m as for Sigma; c(v) != 1 only on the divisor cosets M_p and m/2."""
     ds = d_sequence(n, d)
     return abelian.from_cyclic_orders(_tower_orders(ds, True) + _coset_orders(ds.m, d, True))
-
-
-def kernel_parts(n: int, d: int) -> tuple[AbelianGroup, AbelianGroup]:
-    """(Sigma_0, S_0): the parts of Sigma and S supported away from m."""
-    ds = d_sequence(n, d)
-    return (
-        abelian.from_cyclic_orders(_tower_orders(ds, False)),
-        abelian.from_cyclic_orders(_tower_orders(ds, True)),
-    )
 
 
 def sigma_relation_matrix(n: int, d: int) -> IntMatrix:

@@ -106,26 +106,6 @@ def check_order_recursion(n_max: int = 60, d_max: int = 8) -> int:
     return checks
 
 
-def check_crt_split(n_max: int = 60, d_max: int = 8) -> int:
-    """Sigma(n, d) = sigma-kernel + Sigma(m, d) and S(n, d) = S-kernel + S(m, d),
-    where m is the d-free tail of n."""
-    checks = 0
-    for d in _signed(d_max):
-        for n in range(1, n_max + 1):
-            m = closed_form.d_sequence(n, d).m
-            sigma_kernel, sandpile_kernel = closed_form.kernel_parts(n, d)
-            want_sigma = abelian.direct_sum(sigma_kernel, closed_form.sand_dune_group(m, d))
-            want_sand = abelian.direct_sum(sandpile_kernel, closed_form.sandpile_group(m, d))
-            if closed_form.sand_dune_group(n, d) != want_sigma:
-                _fail("crt split (sigma)", f"(n, d)=({n}, {d})",
-                      f"direct sum {want_sigma} != Sigma {closed_form.sand_dune_group(n, d)}")
-            if closed_form.sandpile_group(n, d) != want_sand:
-                _fail("crt split (sandpile)", f"(n, d)=({n}, {d})",
-                      f"direct sum {want_sand} != S {closed_form.sandpile_group(n, d)}")
-            checks += 2
-    return checks
-
-
 def check_coprime_cosets(m_max: int = 60, d_max: int = 8) -> int:
     """For gcd(m, d) = 1: Sigma(m, d) is exactly one Z_{|d^o(v)-1|} per coset
     and S(m, d) one Z_{|d^o(v)-1| / c(v)}, with the cosets walked out of Z_m
@@ -271,48 +251,58 @@ def check_order_gap(m_max: int = 60, d_max: int = 8) -> int:
 PRIME_POWERS_TO_9 = (2, 3, 4, 5, 7, 8, 9)
 
 
-def check_circulant_coprime(m_max: int = 40, q_max: int = 9) -> int:
-    """C'(m, q) = Sigma(m, q) and C'(m, q)/<x> = S(m, q) for gcd(m, q) = 1."""
+def _star_order_by_root_count(n: int, q: int) -> int:
+    """|C'(n, q)| from the roots of x^m - 1, n = p^k * m with gcd(m, p) = 1.
+
+    F_{q^j} holds gcd(m, q^j - 1) of them, so Moebius inversion gives N_j,
+    the number of degree exactly j, and x^m - 1 has N_j / j irreducible
+    factors of degree j, each giving a unit factor F_{q^j}^*.  The kernel
+    1 + (x^m - 1) of reduction mod x^m - 1 has q^(n - m) elements, and C'
+    is C modulo the constants.  No multiplicative order, no coset.
+    """
+    p, _ = prime_power(q)
+    m = n // p ** nu(n, p)
+    order, exact, j = q ** (n - m), {}, 0
+    while sum(exact.values()) < m:
+        j += 1
+        exact[j] = math.gcd(m, q**j - 1) - sum(exact[e] for e in exact if j % e == 0)
+        order *= (q**j - 1) ** (exact[j] // j)
+    return order // (q - 1)
+
+
+def check_circulant_closed(n_max: int = 40, q_max: int = 9) -> int:
+    """The tower forms of C'(n, q) and C'(n, q)/<x>, for every q = p^r and
+    n, against routes they do not share: |C'| from the roots of x^m - 1,
+    the index |C'| = n |C'/<x>|, and, over the prime field with p | n,
+    Sigma(n, p) and S(n, p) from the d-sequence of n.  Where gcd(n, q) = 1
+    the exponents of the quotient presentation must also be integers."""
     checks = 0
     for q in PRIME_POWERS_TO_9:
         if q > q_max:
             continue
-        for m in range(1, m_max + 1):
-            if math.gcd(m, q) != 1:
-                continue
-            star, _ = circulant.star_group_closed(m, q)
-            if star != closed_form.sand_dune_group(m, q):
-                _fail("circulant coprime star", f"(m, q)=({m}, {q})",
-                      f"{star} != Sigma {closed_form.sand_dune_group(m, q)}")
-            quotient, _ = circulant.quotient_group_closed(m, q)
-            if quotient != closed_form.sandpile_group(m, q):
-                _fail("circulant coprime quotient", f"(m, q)=({m}, {q})",
-                      f"{quotient} != S {closed_form.sandpile_group(m, q)}")
-            if star.order != quotient.order * m:
-                _fail("circulant coprime index", f"(m, q)=({m}, {q})",
-                      f"|C'|={star.order} != m*|C'/<x>|={m * quotient.order}")
-            circulant.relation_exponents(m, q)  # integrality asserted inside
-            checks += 3
-    return checks
-
-
-def check_circulant_prime(n_max: int = 40, p_max: int = 7) -> int:
-    """For prime p: the Sylow tower form of C'(n, p) equals Sigma(n, p), and
-    the quotient form equals S(n, p), for every n including gcd(n, p) > 1."""
-    checks = 0
-    for p in (2, 3, 5, 7):
-        if p > p_max:
-            continue
         for n in range(1, n_max + 1):
-            star, _ = circulant.star_group_closed(n, p)
-            if star != closed_form.sand_dune_group(n, p):
-                _fail("circulant prime star", f"(n, p)=({n}, {p})",
-                      f"{star} != Sigma {closed_form.sand_dune_group(n, p)}")
-            quotient, _ = circulant.quotient_group_closed(n, p)
-            if quotient != closed_form.sandpile_group(n, p):
-                _fail("circulant prime quotient", f"(n, p)=({n}, {p})",
-                      f"{quotient} != S {closed_form.sandpile_group(n, p)}")
+            params = f"(n, q)=({n}, {q})"
+            star, _ = circulant.star_group_closed(n, q)
+            quotient, _ = circulant.quotient_group_closed(n, q)
+            roots = _star_order_by_root_count(n, q)
+            if star.order != roots:
+                _fail("circulant root count", params,
+                      f"|C'|={star.order} vs {roots} from the roots of x^m - 1")
+            if star.order != n * quotient.order:
+                _fail("circulant index", params,
+                      f"|C'|={star.order} != n*|C'/<x>|={n * quotient.order}")
             checks += 2
+            if is_prime(q) and n % q == 0:
+                sigma = closed_form.sand_dune_group(n, q)
+                sand = closed_form.sandpile_group(n, q)
+                if star != sigma:
+                    _fail("circulant prime star", params, f"{star} != Sigma {sigma}")
+                if quotient != sand:
+                    _fail("circulant prime quotient", params, f"{quotient} != S {sand}")
+                checks += 2
+            if math.gcd(n, q) == 1:
+                circulant.relation_exponents(n, q)  # integrality asserted inside
+                checks += 1
     return checks
 
 
@@ -528,14 +518,12 @@ def run_all(
     run("kautz_main", check_family_main, cfg.n_max, cfg.d_max, -1, progress)
     run("index_identity", check_index_identity, cfg.n_max, cfg.d_max)
     run("order_recursion", check_order_recursion, cfg.n_max, cfg.d_max)
-    run("crt_split", check_crt_split, cfg.n_max, cfg.d_max)
     run("coprime_cosets", check_coprime_cosets, cfg.n_max, cfg.d_max)
     run("tree_counts", check_tree_counts, min(cfg.n_max, 20), min(cfg.d_max, 4), progress)
     run("generators", check_generators, small_n, cfg.d_max)
     run("element_orders", check_element_orders, cfg.n_max, cfg.d_max)
     run("order_gap", check_order_gap, cfg.n_max, cfg.d_max)
-    run("circulant_coprime", check_circulant_coprime, small_n, cfg.q_max)
-    run("circulant_prime", check_circulant_prime, small_n, cfg.q_max)
+    run("circulant_closed", check_circulant_closed, small_n, cfg.q_max)
     run("torsion_oracle", check_torsion_oracle, max(cfg.n_max, 64), cfg.q_max)
     run("x_subgroup", check_x_subgroup, min(cfg.n_max, 16), cfg.q_max)
     run("circulant_brute", check_circulant_brute, small_n, cfg.q_max, cfg.brute_cap, progress)

@@ -13,8 +13,7 @@ from sandpiles.digraphs import de_bruijn, sandpile_group_snf, spanning_tree_coun
 from sandpiles.exact_linalg import IntMatrix, determinant, smith_group, smith_normal_form
 from sandpiles.verify import (
     check_circulant_brute,
-    check_circulant_coprime,
-    check_circulant_prime,
+    check_circulant_closed,
     check_family_main,
     check_generators,
     check_index_identity,
@@ -83,15 +82,19 @@ def test_criterion_05_tree_counts_every_root(capsys):
 
 def test_criterion_06_circulant_coprime_and_brute(capsys):
     with criterion(
-        capsys, 6, "coprime circulant groups q<=9 m<=40 plus enumeration", budget=30.0
+        capsys, 6, "closed circulant groups q<=9 n<=40 plus enumeration", budget=30.0
     ):
-        assert check_circulant_coprime(40, 9) > 0
+        # Per (n, q): the root-count order and the index identity (7 * 40 each),
+        # Sigma(n, p) and S(n, p) where q = p is prime and p | n (2 * 46), and
+        # the relation exponents where gcd(n, q) = 1 (181).
+        assert check_circulant_closed(40, 9) == 2 * 7 * 40 + 2 * 46 + 181
         assert check_circulant_brute(40, 9) > 0
 
 
 def test_criterion_07_circulant_prime_and_torsion(capsys):
     with criterion(capsys, 7, "prime-characteristic circulant groups and torsion counts"):
-        assert check_circulant_prime(40, 7) == 2 * 40 * 4
+        # As in criterion 06, over q in {2, 3, 4, 5, 7}: 134 pairs with gcd(n, q) = 1.
+        assert check_circulant_closed(40, 7) == 2 * 5 * 40 + 2 * 46 + 134
         # One Sylow comparison per (n, q) for q in {2, 3, 4, 5, 7}, plus one
         # quotient comparison per n = p^k <= 64 (p^0 included): 7, 4, 7, 3, 3.
         assert check_torsion_oracle(64, 7) == 64 * 5 + 24

@@ -229,14 +229,21 @@ def test_out_of_range_arguments_exit_two(argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["db", "3000", "1"], ["kautz", "3000", "1"], ["db", "3000", "2", "--root", "3000"]]
+    "argv",
+    [
+        ["db", "3000", "1"],
+        ["kautz", "3000", "1"],
+        ["db", "3000", "2", "--root", "3000"],
+        ["consecutive", "2", "3000", "2", "0", "--root", "5000"],
+    ],
 )
 def test_family_refuses_before_building_the_digraph(capsys, monkeypatch, argv):
-    def build(n, d):
+    def build(*args):
         raise RuntimeError("the digraph was built for arguments that are refused")
 
     monkeypatch.setattr(cli, "de_bruijn", build)
     monkeypatch.setattr(cli, "kautz", build)
+    monkeypatch.setattr(cli, "build_consecutive_d", build)
     code = cli.run(argv)
     captured = capsys.readouterr()
     assert code == 2

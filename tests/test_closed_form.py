@@ -18,7 +18,6 @@ from sandpiles.closed_form import (
     element_order_formula,
     element_order_in_sigma,
     epsilon_expansion,
-    kernel_parts,
     membership_in_sandpile,
     sand_dune_group,
     sandpile_generators,
@@ -250,15 +249,6 @@ def test_sandpile_group_examples():
     assert sandpile_group(9, 3) == from_cyclic_orders([3] * 4 + [9])
     assert sandpile_group(5, 2) == from_cyclic_orders([3])
     assert sandpile_group(1, 3) == TRIVIAL_GROUP
-
-
-def test_kernel_parts_examples():
-    assert kernel_parts(4, 2) == (from_cyclic_orders([2, 4]), from_cyclic_orders([2]))
-    assert kernel_parts(5, 2) == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-    assert kernel_parts(9, 9) == (
-        from_cyclic_orders([9] * 8),
-        from_cyclic_orders([9] * 7),
-    )
 
 
 @given(st.integers(min_value=1, max_value=60), signed_d)
