@@ -18,7 +18,10 @@ all-ones vector).  This module provides:
   groups by counting torsion directly, for q^n up to a configurable cap.
   It works in keys: an element's key is its enumeration index, the ring is
   unpacked into kernel blocks one chunk of keys at a time, and the power
-  maps are kept as key arrays.
+  maps are kept as key arrays.  The low digits of a key hold coefficients
+  0..n-2 and its top digit u(1), so M = {u : u(1) = 1}, which holds C' and
+  <x>, is the key range [q^(n-1), 2 q^(n-1)), and only M is powered;
+  C = F_q^* x C' by u -> (u(1), u/u(1)), with F_q^* enumerated apart.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ DEFAULT_ENUMERATION_CAP = 1 << 22
 # A chunk holds as many keys as fit this many bytes of the kernel's multiply
 # temporaries (its row_bytes per key).
 _CHUNK_BYTES = 2 << 20
-# Peak bytes per ring element of one enumeration (tracemalloc), at least the
-# largest measured on rings of 2^18 elements or more.
-_BYTES_PER_ELEMENT = 38
+# Peak bytes per enumerated element (tracemalloc), at least the largest
+# measured on enumerations of 2^18 elements or more.
+_BYTES_PER_ELEMENT = 36
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +418,36 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+class _Scratch:
+    """multiply's temporaries, kept from one call to the next while the
+    chunk size stays the same.  Allocated afresh for every call, they are
+    mapped and unmapped each time, and every page of them faults again."""
+
+    def __init__(self):
+        self.rows = None
+        self.arrays: list[np.ndarray] = []
+
+    def arrays_for(self, rows: int, shapes, dtype) -> list[np.ndarray]:
+        if rows != self.rows:
+            self.rows = rows
+            self.arrays = [np.empty(shape, dtype=dtype) for shape in shapes]
+        return self.arrays
+
+    def release(self) -> None:
+        self.rows = None
+        self.arrays = []
+
+
 class _DigitKernel:
     """Vectorized arithmetic for blocks of F_q[x]/(x^n - 1) elements, any p.
 
     A block is plane-major, shape (n, r, N): row (j, t) holds base-p digit t
     of coefficient j for the N elements of a chunk, so every numpy operation
-    runs over contiguous rows of N.  Digit t of coefficient j is digit j r + t
-    of the element's key, so the key is the element's enumeration index.
+    runs over contiguous rows of N.  A key's base-q digit j is coefficient j
+    for j < n - 1, and its top digit is u(1), the sum of all n coefficients;
+    unpack derives coefficient n - 1 as u(1) minus the others.  Field
+    elements are base-p digit strings, so base-p digit t of key digit j is
+    key digit j r + t.
 
     A product accumulates acc[(i + j) % n, u:u+r] += a[i, u] * b[j] over
     (i, u), all j at once: rows n - i .. 2n - i of b stacked twice are b
@@ -445,6 +471,7 @@ class _DigitKernel:
         # multiply's temporaries per row: a widened, b doubled, one product
         # and the accumulator.
         self.row_bytes = np.dtype(self.acc_dtype).itemsize * n * (6 * self.r - 1)
+        self.scratch = _Scratch()
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         # One floor division by a scalar per digit: measured 1.6x faster than
@@ -456,24 +483,28 @@ class _DigitKernel:
             quotient = keys // self.p
             digits[t] = keys - quotient * self.p
             keys = quotient
-        return digits.reshape(self.n, self.r, -1)
+        block = digits.reshape(self.n, self.r, -1)
+        block[-1] = (block[-1] - block[:-1].sum(axis=0, dtype=self.acc_dtype)) % self.p
+        return block
 
     def pack(self, block: np.ndarray) -> np.ndarray:
-        return self.pack_weights @ block.reshape(self.n * self.r, -1)
-
-    def restricted_mask(self, block: np.ndarray) -> np.ndarray:
-        sums = block.sum(axis=0, dtype=np.int64) % self.p
-        return (sums[0] == 1) & ~sums[1:].any(axis=0)
+        keyed = block.copy()
+        keyed[-1] = block.sum(axis=0, dtype=self.acc_dtype) % self.p  # u(1)
+        return self.pack_weights @ keyed.reshape(self.n * self.r, -1)
 
     def x_keys(self) -> np.ndarray:
-        return self.pack_weights[np.arange(self.n) * self.r]
+        # x^t for t < n - 1 is coefficient t = 1 plus u(1) = 1; x^(n-1) is u(1) alone.
+        top = self.q ** (self.n - 1)
+        return np.append(top + self.pack_weights[: (self.n - 1) * self.r : self.r], top)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n, r, rows = a.shape
-        wide = a.astype(self.acc_dtype)
-        doubled = np.concatenate((b, b)).astype(self.acc_dtype)
-        term = np.empty((n, r, rows), dtype=self.acc_dtype)
-        acc = np.zeros((n, 2 * r - 1, rows), dtype=self.acc_dtype)
+        shapes = ((n, r, rows), (2 * n, r, rows), (n, r, rows), (n, 2 * r - 1, rows))
+        wide, doubled, term, acc = self.scratch.arrays_for(rows, shapes, self.acc_dtype)
+        wide[...] = a
+        doubled[:n] = b
+        doubled[n:] = b
+        acc.fill(0)
         for i in range(n):
             rotated = doubled[n - i : 2 * n - i]  # rotated[k] = b[(k - i) % n]
             for u in range(r):
@@ -502,13 +533,22 @@ class _DigitKernel:
         return out
 
 
+def _parity(values: np.ndarray, bits: int) -> np.ndarray:
+    """The parity of each uint64's low `bits` bits (the rest zero), by xor-folding."""
+    folded = values.copy()
+    for k in reversed(range((bits - 1).bit_length())):
+        folded ^= folded >> (1 << k)
+    return folded & 1
+
+
 class _BitKernel:
     """Characteristic-2 kernel: blocks are r bit-planes of packed uint64.
 
     A block has shape (r, N); plane u holds bit j = the y^u component of
     the x^j coefficient, so a whole ring element occupies one bit column
-    across the planes, and its key, plane u shifted by u n, is its
-    enumeration index.
+    across the planes.  Its key holds bits 0..n-2 of plane u at u (n - 1),
+    and at (n - 1) r + u the parity of plane u, the y^u component of u(1);
+    unpack derives bit n - 1 of each plane from that parity and the others.
 
     A plane product is a cyclic carry-less product, formed by integer
     multiplies.  Each operand is split into s residue classes of bit
@@ -521,10 +561,11 @@ class _BitKernel:
     2n - 1 <= 64.  Plane pairs combine by y power, which then reduces
     through the field's reduction table.
 
-    Squaring, the Frobenius, is F_2-linear on the n r-bit key: bit (u, j)
-    maps to frobenius_rows[u] at x^(2j mod n).  From these images one table
-    of 256 keys per key byte is built once, and the map is one gather per
-    byte, xored together.
+    Squaring, the Frobenius, is F_2-linear on the planes laid side by side,
+    plane u shifted by u n: bit (u, j) maps to frobenius_rows[u] at
+    x^(2j mod n).  From these images one table of 256 entries per byte is
+    built once, and the map is one gather per byte, xored together.  Side
+    by side, unlike in a key, no bit is derived, so squaring takes no parity.
 
     Keys need n r <= 62 bits and products 2n - 1 <= 64; unit_group_brute
     refuses larger rings.
@@ -537,6 +578,11 @@ class _BitKernel:
         self.q = q
         self.n = n
         self.bit_mask = (1 << n) - 1
+        self.low_mask = (1 << n - 1) - 1
+        planes = np.arange(self.r, dtype=np.uint64)[:, None]
+        self.plane_shifts = planes * np.uint64(n)
+        self.low_shifts = planes * np.uint64(n - 1)
+        self.top_shifts = planes + np.uint64((n - 1) * self.r)
         self.field = field_for(q)
         s = 1
         while -(-n // s) >= 1 << s:
@@ -560,44 +606,33 @@ class _BitKernel:
         # multiply's temporaries per row: the split operands, b's doubled,
         # one product and the accumulator.
         self.row_bytes = 8 * s * (6 * self.r - 1)
+        self.scratch = _Scratch()
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         keys = keys.astype(np.uint64, copy=False)
-        planes = np.empty((self.r, keys.size), dtype=np.uint64)
-        for u in range(self.r):
-            np.right_shift(keys, u * self.n, out=planes[u])
-            planes[u] &= self.bit_mask
+        planes = (keys >> self.low_shifts) & np.uint64(self.low_mask)
+        last = ((keys >> self.top_shifts) ^ _parity(planes, self.n - 1)) & np.uint64(1)
+        planes |= last << np.uint64(self.n - 1)
         return planes
 
     def pack(self, block: np.ndarray) -> np.ndarray:
-        out = block[0].copy()
-        for u in range(1, self.r):
-            out |= block[u] << (u * self.n)
-        return out
-
-    def restricted_mask(self, block: np.ndarray) -> np.ndarray:
-        # Parity of each plane by xor-folding its (at most 62) bits.
-        parity = block.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            parity ^= parity >> shift
-        parity &= 1
-        mask = parity[0] == 1
-        for u in range(1, self.r):
-            mask &= parity[u] == 0
-        return mask
+        low = (block & np.uint64(self.low_mask)) << self.low_shifts
+        return np.bitwise_or.reduce(low | (_parity(block, self.n) << self.top_shifts), axis=0)
 
     def x_keys(self) -> np.ndarray:
-        return np.int64(1) << np.arange(self.n, dtype=np.int64)
+        # As for the digit kernel: bit t of plane 0 plus u(1) = 1.
+        top = 1 << (self.n - 1) * self.r
+        return np.append(top + (np.int64(1) << np.arange(self.n - 1, dtype=np.int64)), top)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r, s = self.r, self.spacing
         rows = a.shape[1]
-        split = a[:, None] & self.class_masks
-        doubled = np.empty((r, 2 * s, rows), dtype=np.uint64)
+        shapes = ((r, s, rows), (r, 2 * s, rows), (r, s, rows), (2 * r - 1, s, rows))
+        split, doubled, term, acc = self.scratch.arrays_for(rows, shapes, np.uint64)
+        np.bitwise_and(a[:, None], self.class_masks, out=split)
         np.bitwise_and(b[:, None], self.class_masks, out=doubled[:, :s])
         doubled[:, s:] = doubled[:, :s]
-        term = np.empty((r, s, rows), dtype=np.uint64)
-        acc = np.zeros((2 * r - 1, s, rows), dtype=np.uint64)
+        acc.fill(0)
         for u in range(r):
             for k in range(s):
                 # term[v, c] = a_u^(k) * b_v^(c - k): its class-c bits are valid.
@@ -613,11 +648,16 @@ class _BitKernel:
         return conv[:r]
 
     def frobenius(self, block: np.ndarray) -> np.ndarray:
-        key_bytes = self.pack(block).astype("<u8", copy=False).view(np.uint8)
+        side_by_side = np.bitwise_or.reduce(block << self.plane_shifts, axis=0)
+        side_bytes = side_by_side.astype("<u8", copy=False).view(np.uint8)
         out = np.zeros(block.shape[1], dtype=np.uint64)
         for byte, table in enumerate(self.frobenius_tables):
-            out ^= table[key_bytes[byte::8]]
-        return self.unpack(out)
+            out ^= table[side_bytes[byte::8]]
+        return (out >> self.plane_shifts) & np.uint64(self.bit_mask)
+
+
+def _kernel(n: int, q: int):
+    return _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
 
 
 def _power(kernel, block: np.ndarray, e: int) -> np.ndarray:
@@ -639,15 +679,16 @@ def _power(kernel, block: np.ndarray, e: int) -> np.ndarray:
     return kernel.multiply(result, block) if e % 2 else result
 
 
-def _over_ring(kernel, blockwise, dtype) -> np.ndarray:
-    """blockwise(block) for every ring element, in key order: the ring is
-    unpacked one chunk of keys at a time and never held whole."""
-    total = kernel.q**kernel.n
+def _over_ring(kernel, lo: int, hi: int, blockwise, dtype) -> np.ndarray:
+    """blockwise(block) for the elements with keys lo..hi-1, in key order:
+    they are unpacked one chunk of keys at a time and never held whole."""
     rows = max(1, _CHUNK_BYTES // kernel.row_bytes)
-    out = np.empty(total, dtype=dtype)
-    for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        out[lo:hi] = blockwise(kernel.unpack(np.arange(lo, hi, dtype=np.int64)))
+    out = np.empty(hi - lo, dtype=dtype)
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        keys = np.arange(start, stop, dtype=np.int64)
+        out[start - lo : stop - lo] = blockwise(kernel.unpack(keys))
+    kernel.scratch.release()  # before the caller's own arrays are allocated
     return out
 
 
@@ -660,21 +701,27 @@ def _candidate_primes(n: int, q: int) -> list[int]:
     return sorted({p} | set(prime_factors(q**field_order - 1)))
 
 
-def _compute_levels(kernel, in_x, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element torsion levels for the prime ell: level_id[g] is the least
-    i with g^(ell^i) = 1, level_x[g] the least i with g^(ell^i) in <x>
-    (-1 when never reached); in_x marks the keys of <x>.
+def _compute_levels(kernel, lo: int, hi: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Torsion levels for the prime ell of the elements with keys lo..hi-1,
+    a range closed under ell-th powers that holds <x>: level_id[i] is the
+    least j with g^(ell^j) = 1 for the element g of key lo + i, level_x[i]
+    the least j with g^(ell^j) in <x> (-1 when never reached).
 
-    The ring is powered once.  An element's key is its enumeration index,
-    so the keys of the ell-th powers are the ell-power map as an index
-    array, and every later round is one gather through it.
+    The range is powered once.  An element's key is its enumeration index,
+    so the keys of the ell-th powers, less lo, are the ell-power map as an
+    index array, and every later round is one gather through it.
     """
-    step = _over_ring(kernel, lambda block: kernel.pack(_power(kernel, block, ell)), np.int64)
-    level_id = np.full(in_x.size, -1, dtype=np.int16)
-    level_x = np.full(in_x.size, -1, dtype=np.int16)
-    cur = np.arange(in_x.size)
+    step = _over_ring(
+        kernel, lo, hi, lambda block: kernel.pack(_power(kernel, block, ell)) - lo, np.int64
+    )
+    x_indices = kernel.x_keys() - lo  # x^0 = 1 first
+    in_x = np.zeros(hi - lo, dtype=bool)
+    in_x[x_indices] = True
+    level_id = np.full(hi - lo, -1, dtype=np.int16)
+    level_x = np.full(hi - lo, -1, dtype=np.int16)
+    cur = np.arange(hi - lo)
     for i in range(64):
-        new_id = (cur == 1) & (level_id < 0)
+        new_id = (cur == x_indices[0]) & (level_id < 0)
         new_x = in_x[cur] & (level_x < 0)
         level_id[new_id] = i
         level_x[new_x] = i
@@ -684,38 +731,52 @@ def _compute_levels(kernel, in_x, ell: int) -> tuple[np.ndarray, np.ndarray]:
     raise AssertionError(f"torsion levels for prime {ell} did not stabilize in 64 rounds")
 
 
-def _level_histograms(kernel) -> dict[int, dict[tuple[bool, bool], np.ndarray]]:
-    """Torsion-level histograms of the whole ring, serving all group modes.
-
-    hist[ell][(restricted, modulo_x)][i] counts the elements (only those
-    with value 1 at x = 1 when restricted) whose level for ell is i, with
-    levels to the identity, or into <x> when modulo_x, as in _compute_levels.
-    """
-    restricted = _over_ring(kernel, kernel.restricted_mask, bool)
-    in_x = np.zeros(restricted.size, dtype=bool)
-    in_x[kernel.x_keys()] = True
+def _level_histograms(kernel, lo: int, hi: int, primes) -> dict[int, tuple[np.ndarray, ...]]:
+    """hist[ell] = (by_identity, by_x): per level i, how many elements with
+    keys lo..hi-1 have level i for ell, to the identity and into <x>, as in
+    _compute_levels."""
     hist = {}
-    for ell in _candidate_primes(kernel.n, kernel.q):
-        level_id, level_x = _compute_levels(kernel, in_x, ell)
-        hist[ell] = {}
-        for modulo_x, level in ((False, level_id), (True, level_x)):
-            for only_restricted in (False, True):
-                selected = level[restricted] if only_restricted else level
-                hist[ell][only_restricted, modulo_x] = np.bincount(selected[selected >= 0])
+    for ell in primes:
+        levels = _compute_levels(kernel, lo, hi, ell)
+        hist[ell] = tuple(np.bincount(level[level >= 0]) for level in levels)
     return hist
 
 
+def _field_unit_histograms(q: int, primes) -> dict[int, np.ndarray]:
+    """Identity-level histograms of F_q^*, counted on the keys 1..q-1 of the
+    (1, q) ring, which are its nonzero constants."""
+    histograms = _level_histograms(_kernel(1, q), 1, q, primes)
+    return {ell: by_identity for ell, (by_identity, _) in histograms.items()}
+
+
 @lru_cache(maxsize=2)
-def _brute_analysis(n: int, q: int) -> dict[int, dict[tuple[bool, bool], np.ndarray]]:
-    kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
-    return _level_histograms(kernel)
+def _brute_analysis(n: int, q: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per candidate prime ell: the level histograms of M = {u : u(1) = 1}
+    to the identity and into <x>, and that of F_q^* to the identity.  M is
+    the key range [q^(n-1), 2 q^(n-1)) of the (n, q) ring, whose top key
+    digit is u(1), and its elements with a level are those of C'."""
+    primes = _candidate_primes(n, q)
+    base = q ** (n - 1)
+    star = _level_histograms(_kernel(n, q), base, 2 * base, primes)
+    constants = _field_unit_histograms(q, primes)
+    return {ell: star[ell] + (constants[ell],) for ell in primes}
 
 
-def _torsion_series(histogram: np.ndarray, divisor: int) -> list[int]:
-    """Cumulative counts #{g : level(g) <= i}, divided by divisor, listed
-    through the first repeated value (where the series provably stays)."""
+def _product_tallies(tallies: list[int], other: list[int]) -> list[int]:
+    """Cumulative torsion tallies of a direct product from its factors':
+    #{(g, h) : (g, h)^(ell^i) = 1} = #{g : ...} * #{h : ...}, each series
+    held at its last value once it ends."""
+    return [
+        tallies[min(i, len(tallies) - 1)] * other[min(i, len(other) - 1)]
+        for i in range(max(len(tallies), len(other)))
+    ]
+
+
+def _torsion_series(tallies: list[int], divisor: int) -> list[int]:
+    """Cumulative tallies divided by divisor, listed through the first
+    repeated value (where the series provably stays)."""
     counts = []
-    for tally in np.cumsum(histogram).tolist():
+    for tally in tallies:
         if tally % divisor != 0:
             raise AssertionError(f"tally {tally} is not a multiple of {divisor}")
         counts.append(tally // divisor)
@@ -736,13 +797,18 @@ def unit_group_brute(
     """Group structure of C(n, q), C'(n, q), or either modulo <x>, computed
     by enumerating ring elements and counting torsion per prime.
 
-    Only elements with g^(ell^i) landing on the identity (or inside <x>)
-    are ever tallied, and such elements are automatically units, so no
-    explicit unit filter is needed.  For the quotients, the tallies count
-    every coset of <x> exactly n times and are divided accordingly.  The
-    number of ring elements q^n must not exceed the cap (argument, else
-    2^22), and q^n times the measured peak bytes per element must not
-    exceed physical memory.
+    Only the q^(n-1) elements of M = {u : u(1) = 1}, a key range closed
+    under powers that holds <x>, are powered.  Only elements with
+    g^(ell^i) landing on the identity (or inside <x>) are ever tallied, and
+    such elements are automatically units, so no explicit unit filter is
+    needed: M's tallies are those of C'.  For the quotients, the tallies
+    count every coset of <x> exactly n times and are divided accordingly.
+    The full group splits as C = F_q^* x C' by u -> (u(1), u/u(1)), so its
+    tallies are C''s times those of F_q^*, which are counted on the q - 1
+    nonzero keys of the (1, q) ring.  The number of ring elements q^n must
+    not exceed the cap (argument, else 2^22), and the larger enumeration,
+    max(q^(n-1), q - 1) elements, times the measured peak bytes per
+    enumerated element must not exceed physical memory.
     """
     _ring_args(n, q)
     limit = enumeration_cap(cap)
@@ -760,16 +826,20 @@ def unit_group_brute(
             f"integers and needs 2n - 1 <= 64, i.e. n <= 32; got n = {n}"
         )
     memory = _physical_memory_bytes()
-    if memory is not None and total * _BYTES_PER_ELEMENT > memory:
+    enumerated = max(q ** (n - 1), q - 1)
+    if memory is not None and enumerated * _BYTES_PER_ELEMENT > memory:
         raise ValueError(
-            f"enumerating q^n = {total} ring elements needs about "
-            f"{total * _BYTES_PER_ELEMENT // 10**6} MB, more than the "
+            f"enumerating {enumerated} elements of the q^n = {total} element ring "
+            f"needs about {enumerated * _BYTES_PER_ELEMENT // 10**6} MB, more than the "
             f"{memory // 10**6} MB of physical memory"
         )
 
     parts = []
-    for ell, histograms in _brute_analysis(n, q).items():
-        counts = _torsion_series(histograms[restricted, modulo_x], n if modulo_x else 1)
+    for ell, (by_identity, by_x, constants) in _brute_analysis(n, q).items():
+        tallies = np.cumsum(by_x if modulo_x else by_identity).tolist()
+        if not restricted:
+            tallies = _product_tallies(tallies, np.cumsum(constants).tolist())
+        counts = _torsion_series(tallies, n if modulo_x else 1)
         part = structure_from_torsion_counts(ell, counts)
         if not part.is_trivial:
             parts.append(part)

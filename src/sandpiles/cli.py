@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             f"enumeration cap on q^n (default {enumeration_cap()}; "
-            f"~{_BYTES_PER_ELEMENT} B/element)"
+            f"~{_BYTES_PER_ELEMENT} B per enumerated element, q^(n-1) of them)"
         ),
     )
 

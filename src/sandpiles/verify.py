@@ -20,7 +20,7 @@ from . import abelian, circulant, closed_form, digraphs
 from .abelian import AbelianGroup, structure_from_torsion_counts
 from .arith import is_prime, multiplicative_order, nu, prime_power
 from .circulant import RingElement, enumeration_cap, field_for, is_restricted_unit
-from .exact_linalg import smith_group
+from .exact_linalg import IntMatrix, determinant, smith_group
 
 Progress = Callable[[str], None] | None
 
@@ -162,14 +162,18 @@ def check_tree_counts(n_max: int = 20, d_max: int = 4, progress: Progress = None
 
 
 def check_generators(m_max: int = 40, d_max: int = 8) -> int:
-    """Every reduced generator lies in the sandpile subgroup, its expansion
-    order matches the claimed order, and the claimed orders multiply to
-    |S(m, d)|."""
+    """Every reduced generator lies in the sandpile subgroup and its
+    expansion order matches the claimed order, and the generators generate
+    S(m, d) as the direct sum of their cyclic groups: stacked under the
+    relation matrix of Sigma(m, d), their rows leave a finite quotient of
+    order m, the index of S, and the claimed orders times m give |Sigma|,
+    the relation matrix's determinant."""
     checks = 0
     for d in _signed(d_max):
         for m in range(1, m_max + 1):
             if math.gcd(m, abs(d)) != 1:
                 continue
+            params = f"(m, d)=({m}, {d})"
             generators = closed_form.sandpile_generators(m, d)
             order_product = 1
             for v, (element, claimed) in generators.items():
@@ -182,11 +186,18 @@ def check_generators(m_max: int = 40, d_max: int = 8) -> int:
                           f"expansion order {got} vs claimed {claimed}")
                 order_product *= claimed
                 checks += 2
-            sandpile_order = closed_form.sandpile_group(m, d).order
-            if order_product != sandpile_order:
-                _fail("generator completeness", f"(m, d)=({m}, {d})",
-                      f"order product {order_product} vs |S|={sandpile_order}")
-            checks += 1
+            relations = closed_form.sigma_relation_matrix(m, d)
+            rows = relations.to_rows() + [element.coeffs for element, _ in generators.values()]
+            free, quotient = smith_group(IntMatrix.from_rows(rows))
+            if free != 0 or quotient.order != m:
+                _fail("generator span", params,
+                      f"Sigma/<generators> has free rank {free} and order "
+                      f"{quotient.order}, expected 0 and m = {m}")
+            sigma_order = abs(determinant(relations))
+            if order_product * m != sigma_order:
+                _fail("generator completeness", params,
+                      f"order product {order_product} times m vs |Sigma|={sigma_order}")
+            checks += 2
     return checks
 
 

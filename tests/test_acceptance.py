@@ -82,7 +82,7 @@ def test_criterion_05_tree_counts_every_root(capsys):
 
 def test_criterion_06_circulant_coprime_and_brute(capsys):
     with criterion(
-        capsys, 6, "closed circulant groups q<=9 n<=40 plus enumeration", budget=30.0
+        capsys, 6, "closed circulant groups q<=9 n<=40 plus enumeration", budget=7.0
     ):
         # Per (n, q): the root-count order and the index identity (7 * 40 each),
         # Sigma(n, p) and S(n, p) where q = p is prime and p | n (2 * 46), and

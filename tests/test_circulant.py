@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from sandpiles import circulant
-from sandpiles.abelian import TRIVIAL_GROUP, direct_sum, from_cyclic_orders
+from sandpiles.abelian import (
+    TRIVIAL_GROUP,
+    direct_sum,
+    from_cyclic_orders,
+    structure_from_torsion_counts,
+)
+from sandpiles.arith import prime_power
 from sandpiles.circulant import (
     DEFAULT_ENUMERATION_CAP,
     _BitKernel,
@@ -15,7 +21,9 @@ from sandpiles.circulant import (
     _candidate_primes,
     _compute_levels,
     _level_histograms,
+    _parity,
     _power,
+    _torsion_series,
     FiniteField,
     RingElement,
     enumeration_cap,
@@ -208,7 +216,8 @@ def test_enumeration_cap():
 
 def test_brute_refuses_rings_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: 10**6)
-    estimate = 3**12 * circulant._BYTES_PER_ELEMENT // 10**6
+    # Only M = {u : u(1) = 1} is enumerated: the 3^11 keys with top digit 1.
+    estimate = 3**11 * circulant._BYTES_PER_ELEMENT // 10**6
     with pytest.raises(ValueError, match=f"about {estimate} MB"):
         unit_group_brute(12, 3)
     # Where physical memory is unknown, the cap alone decides.
@@ -232,18 +241,18 @@ def _peak_bytes_per_element(n, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / q**n
+    return peak / q ** (n - 1)
 
 
 def test_enumeration_memory_per_element():
-    # The ring is unpacked one chunk of keys at a time, never whole.
-    assert _peak_bytes_per_element(9, 4) <= 48
+    # M, 2.6e5 keys, is unpacked one chunk of keys at a time, never whole.
+    assert _peak_bytes_per_element(10, 4) <= 48
 
 
 def test_enumeration_memory_per_element_on_a_small_ring():
-    # Chunks are sized in bytes, so at 1.8e5 elements one chunk's buffers
-    # still weigh little against the ring.
-    assert _peak_bytes_per_element(11, 3) <= 48
+    # Chunks are sized in bytes, so at 1.8e5 enumerated elements one chunk's
+    # buffers still weigh little against them.
+    assert _peak_bytes_per_element(12, 3) <= 48
 
 
 def test_unit_group_brute_examples():
@@ -279,6 +288,66 @@ def test_brute_matches_closed_forms():
             n += 1
 
 
+def _value_at_one(kernel, block):
+    """u(1) of every element of an unpacked block, as field elements, summed
+    from the coefficients without the kernels' key layout."""
+    if isinstance(kernel, _BitKernel):
+        bits = sum((block >> np.uint64(j)) & np.uint64(1) for j in range(kernel.n))
+        return sum((bits[u] & np.uint64(1)).astype(np.int64) << u for u in range(kernel.r))
+    digits = block.sum(axis=0, dtype=np.int64) % kernel.p
+    return sum(digits[t] * kernel.p**t for t in range(kernel.r))
+
+
+def _whole_ring_group(kernel, restricted, modulo_x):
+    """The group by the whole-ring route: all q^n keys are powered, C' is
+    selected by u(1) = 1 read off their coefficients, and C is every key
+    whose powers reach 1, with no split C = F_q^* x C'."""
+    total = kernel.q**kernel.n
+    in_star = _value_at_one(kernel, kernel.unpack(np.arange(total, dtype=np.int64))) == 1
+    group = TRIVIAL_GROUP
+    for ell in _candidate_primes(kernel.n, kernel.q):
+        level_id, level_x = _compute_levels(kernel, 0, total, ell)
+        level = level_x if modulo_x else level_id
+        if restricted:
+            level = level[in_star]
+        tallies = np.cumsum(np.bincount(level[level >= 0])).tolist()
+        counts = _torsion_series(tallies, kernel.n if modulo_x else 1)
+        group = direct_sum(group, structure_from_torsion_counts(ell, counts))
+    return group
+
+
+_MODES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def test_brute_matches_the_whole_ring_route():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        n = 1
+        while q**n <= 1 << 14:
+            kernel = circulant._kernel(n, q)
+            for restricted, modulo_x in _MODES:
+                assert unit_group_brute(n, q, restricted, modulo_x) == _whole_ring_group(
+                    kernel, restricted, modulo_x
+                ), (n, q, restricted, modulo_x)
+            n += 1
+
+
+def test_brute_matches_the_whole_ring_route_on_fields():
+    # n = 1: M = C' = {1} is the key range [1, 2) and F_q^* the keys 1..q-1.
+    # Every prime power q <= 2^12, except that of the 510 primes above 2^8,
+    # which all take the int64-digit path, only every 16th and the last.
+    fields = [q for q in range(2, (1 << 12) + 1) if prime_power(q) is not None]
+    big_primes = [q for q in fields if q > 1 << 8 and prime_power(q)[1] == 1]
+    skipped = set(big_primes) - set(big_primes[::16] + big_primes[-1:])
+    for q in fields:
+        if q in skipped:
+            continue
+        kernel = circulant._kernel(1, q)
+        for restricted, modulo_x in _MODES:
+            assert unit_group_brute(1, q, restricted, modulo_x) == _whole_ring_group(
+                kernel, restricted, modulo_x
+            ), (q, restricted, modulo_x)
+
+
 def brute_unit_counts(n, q):
     field = field_for(q)
     units = restricted = 0
@@ -301,22 +370,36 @@ def test_unit_counts_by_direct_filter():
 
 
 def test_bit_kernel_parity_matches_popcount():
-    values = np.random.default_rng(7).integers(0, 1 << 62, size=2000, dtype=np.int64)
-    values[:3] = (0, 1, (1 << 62) - 1)
-    mask = _BitKernel(62, 2).restricted_mask(values[None, :])
-    assert mask.tolist() == [bin(int(v)).count("1") & 1 == 1 for v in values]
+    # Over F_2 with n = 62, key bits 0..60 are coefficients 0..60 and bit 61
+    # is u(1), so the derived coefficient 61 makes the plane's parity bit 61.
+    keys = np.random.default_rng(7).integers(0, 1 << 62, size=2000, dtype=np.int64)
+    keys[:3] = (0, 1, (1 << 62) - 1)
+    popcounts = [bin(int(k)).count("1") for k in keys]
+    assert _parity(keys.astype(np.uint64), 62).tolist() == [c & 1 for c in popcounts]
+    kernel = _BitKernel(62, 2)
+    planes = kernel.unpack(keys)
+    low = (1 << 61) - 1
+    for key, plane in zip(keys.tolist(), planes[0].tolist()):
+        assert plane & low == key & low
+        assert bin(plane).count("1") & 1 == key >> 61
+    assert kernel.pack(planes).tolist() == keys.tolist()
 
 
 def _decode(kernel, key, field):
-    """The ring element with the given key, read off each kernel's layout."""
-    n, q = kernel.n, kernel.q
+    """The ring element with the given key, read off each kernel's layout:
+    coefficients 0..n-2 in the low digits, u(1) in the top digit, and
+    coefficient n - 1 derived as u(1) minus the others."""
+    n, q, r = kernel.n, kernel.q, kernel.r
     if isinstance(kernel, _BitKernel):
         coeffs = [
-            sum(((key >> (u * n + j)) & 1) << u for u in range(kernel.r)) for j in range(n)
+            sum(((key >> (u * (n - 1) + j)) & 1) << u for u in range(r)) for j in range(n - 1)
         ]
     else:
-        coeffs = [(key // q**j) % q for j in range(n)]
-    return RingElement(field, n, tuple(coeffs))
+        coeffs = [(key // q**j) % q for j in range(n - 1)]
+    last = key // q ** (n - 1)
+    for c in coeffs:
+        last = field.sub(last, c)
+    return RingElement(field, n, tuple(coeffs + [last]))
 
 
 def _coefficients(kernel, block, row):
@@ -329,7 +412,7 @@ def _coefficients(kernel, block, row):
     return tuple(sum(int(d) * kernel.p**t for t, d in enumerate(c)) for c in block[:, :, row])
 
 
-@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (2, 9), (3, 8)])
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (2, 9), (3, 8), (1, 4), (1, 9)])
 def test_pack_inverts_unpack(n, q):
     keys = np.arange(q**n, dtype=np.int64)
     field = field_for(q)
@@ -338,7 +421,9 @@ def test_pack_inverts_unpack(n, q):
         block = kernel.unpack(keys)
         assert kernel.pack(block).tolist() == keys.tolist()
         for key in range(q**n):
-            assert _coefficients(kernel, block, key) == _decode(kernel, key, field).coeffs
+            element = _decode(kernel, key, field)
+            assert _coefficients(kernel, block, key) == element.coeffs
+            assert element.eval_at_one() == key // q ** (n - 1)
 
 
 def _reference_levels(g, ell, one, x_powers):
@@ -357,31 +442,40 @@ def _reference_levels(g, ell, one, x_powers):
     return level_id, level_x
 
 
-@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9), (2, 25), (2, 27)])
+@pytest.mark.parametrize(
+    "n, q", [(4, 2), (3, 3), (2, 4), (3, 5), (2, 9), (2, 25), (2, 27), (3, 9), (1, 8), (1, 9)]
+)
 def test_gathered_levels_match_ring_powers(n, q):
-    kernel = _BitKernel(n, q) if q % 2 == 0 else _DigitKernel(n, q)
-    in_x = np.zeros(q**n, dtype=bool)
-    in_x[kernel.x_keys()] = True
+    # Over C', the keys [q^(n-1), 2 q^(n-1)), and over F_q^*, the keys 1..q-1
+    # of the (1, q) ring, whose only power of x is 1.
     field = field_for(q)
-    elements = [_decode(kernel, key, field) for key in range(q**n)]
-    one = RingElement.one(field, n)
-    x_powers = {RingElement.x_power(field, n, t) for t in range(n)}
-    for ell in _candidate_primes(n, q):
-        level_id, level_x = _compute_levels(kernel, in_x, ell)
-        expected = [_reference_levels(g, ell, one, x_powers) for g in elements]
-        assert level_id.tolist() == [e[0] for e in expected]
-        assert level_x.tolist() == [e[1] for e in expected]
+    for m, lo, hi in ((n, q ** (n - 1), 2 * q ** (n - 1)), (1, 1, q)):
+        kernel = circulant._kernel(m, q)
+        elements = [_decode(kernel, key, field) for key in range(lo, hi)]
+        one = RingElement.one(field, m)
+        x_powers = {RingElement.x_power(field, m, t) for t in range(m)}
+        assert x_powers <= set(elements)
+        for ell in _candidate_primes(n, q):
+            level_id, level_x = _compute_levels(kernel, lo, hi, ell)
+            expected = [_reference_levels(g, ell, one, x_powers) for g in elements]
+            assert level_id.tolist() == [e[0] for e in expected]
+            assert level_x.tolist() == [e[1] for e in expected]
 
 
-@pytest.mark.parametrize("n, q", [(10, 2), (5, 4), (4, 8)])
+@pytest.mark.parametrize("n, q", [(10, 2), (5, 4), (4, 8), (1, 16)])
 def test_digit_and_bit_kernels_agree_in_characteristic_two(n, q):
-    digit = _level_histograms(_DigitKernel(n, q))
-    bit = _level_histograms(_BitKernel(n, q))
-    assert digit.keys() == bit.keys()
-    for ell in digit:
-        assert digit[ell].keys() == bit[ell].keys()
-        for mode in digit[ell]:
-            assert digit[ell][mode].tolist() == bit[ell][mode].tolist()
+    # Over C' and over F_q^*, and in the whole-ring route in every mode.
+    primes = _candidate_primes(n, q)
+    for m, lo, hi in ((n, q ** (n - 1), 2 * q ** (n - 1)), (1, 1, q)):
+        digit = _level_histograms(_DigitKernel(m, q), lo, hi, primes)
+        bit = _level_histograms(_BitKernel(m, q), lo, hi, primes)
+        assert digit.keys() == bit.keys()
+        for ell in digit:
+            assert [h.tolist() for h in digit[ell]] == [h.tolist() for h in bit[ell]]
+    for restricted, modulo_x in _MODES:
+        assert _whole_ring_group(_DigitKernel(n, q), restricted, modulo_x) == _whole_ring_group(
+            _BitKernel(n, q), restricted, modulo_x
+        )
 
 
 @pytest.mark.parametrize(

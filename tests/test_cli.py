@@ -147,9 +147,10 @@ def test_circulant_closed_refusal_and_cap(capsys):
 
 
 def test_circulant_refuses_rings_beyond_physical_memory(capsys, monkeypatch):
+    # 9^9 enumerated elements, the ring's C', at 36 B each outweigh 8 GB.
     monkeypatch.setattr(circulant, "_physical_memory_bytes", lambda: 8 * 10**9)
     code, doc, err = run_cli(
-        capsys, "circulant", "--n", "9", "--q", "9", "--brute", "--cap", "400000000"
+        capsys, "circulant", "--n", "10", "--q", "9", "--brute", "--cap", "4000000000"
     )
     assert code == 2 and doc is None and "error:" in err and "MB" in err
 

@@ -2,6 +2,7 @@
 must make the small verification battery fail.  A fault that survives shows
 a rule of the closed forms that no sweep checks against another route."""
 
+import numpy as np
 import pytest
 
 from sandpiles import abelian, circulant, closed_form
@@ -13,6 +14,8 @@ _sylow_tower = circulant._sylow_tower
 _coset_orders = closed_form._coset_orders
 _tower_orders = closed_form._tower_orders
 _merge_copies = abelian._merge_copies
+_compute_levels = circulant._compute_levels
+_sandpile_generators = closed_form.sandpile_generators
 
 
 def _sylow_tower_without_r(n, q):
@@ -28,6 +31,26 @@ def _quotient_dropping_the_first_summand(n, q):
         abelian.from_cyclic_orders(orders[1:]), closed_form.sandpile_group(m, q)
     )
     return group, "closed_form"
+
+
+def _levels_one_late(kernel, lo, hi, ell):
+    # Every level past 0 one too high: an element of order ell reads as
+    # having order ell^2.
+    levels = _compute_levels(kernel, lo, hi, ell)
+    return tuple(np.where(level > 0, level + 1, level) for level in levels)
+
+
+def _generators_with_one_duplicated(m, d):
+    # One generator replaced by an earlier one of the same claimed order, so
+    # membership, each order and the product of the orders still hold.
+    generators = _sandpile_generators(m, d)
+    first = {}
+    for v, (_, claimed) in sorted(generators.items()):
+        if claimed > 1 and claimed in first:
+            generators[v] = generators[first[claimed]]
+            break
+        first[claimed] = v
+    return generators
 
 
 MUTANTS = {
@@ -53,6 +76,14 @@ MUTANTS = {
         "_merge_copies",
         lambda chain, m, c: _merge_copies(chain, m, c - 1),
     ),
+    # C = F_q^* x C' loses its Z_{q-1}: F_q^* counted as the trivial group.
+    "field_units_trivial": (
+        circulant,
+        "_field_unit_histograms",
+        lambda q, primes: {ell: np.ones(1, dtype=np.int64) for ell in primes},
+    ),
+    "levels_one_late": (circulant, "_compute_levels", _levels_one_late),
+    "generator_duplicated": (closed_form, "sandpile_generators", _generators_with_one_duplicated),
 }
 
 
@@ -61,8 +92,16 @@ def test_small_battery_passes_unmutated():
     assert all(count > 0 for count in checks.values())
 
 
+@pytest.fixture
+def fresh_enumerations():
+    """No enumeration cached before or after a test serves another."""
+    circulant._brute_analysis.cache_clear()
+    yield
+    circulant._brute_analysis.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_small_battery_kills_mutant(monkeypatch, name):
+def test_small_battery_kills_mutant(monkeypatch, fresh_enumerations, name):
     module, attribute, fault = MUTANTS[name]
     monkeypatch.setattr(module, attribute, fault)
     with pytest.raises(VerificationFailure):
