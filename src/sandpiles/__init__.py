@@ -13,7 +13,6 @@ from .abelian import (
     direct_sum,
     from_cyclic_orders,
     structure_from_torsion_counts,
-    torsion_counts,
 )
 from .circulant import (
     FiniteField,
@@ -43,9 +42,7 @@ from .closed_form import (
 from .digraphs import (
     Digraph,
     build_consecutive_d,
-    critical_group_snf,
     de_bruijn,
-    is_eulerian,
     kautz,
     laplacian,
     sandpile_group_snf,
@@ -69,7 +66,6 @@ __all__ = [
     "direct_sum",
     "from_cyclic_orders",
     "structure_from_torsion_counts",
-    "torsion_counts",
     "FiniteField",
     "RingElement",
     "field_for",
@@ -93,9 +89,7 @@ __all__ = [
     "sigma_relation_matrix",
     "Digraph",
     "build_consecutive_d",
-    "critical_group_snf",
     "de_bruijn",
-    "is_eulerian",
     "kautz",
     "laplacian",
     "sandpile_group_snf",

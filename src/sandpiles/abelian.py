@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .arith import factorize, is_prime, nu
+from .arith import is_prime, nu
 
 
 def _merge_copies(chain: list[int], m: int, c: int) -> list[int]:
@@ -87,18 +87,6 @@ class AbelianGroup:
             if e:
                 parts.append(p**e)
         return AbelianGroup(tuple(parts))
-
-    def primary_decomposition(self) -> dict[int, tuple[int, ...]]:
-        """Map prime -> ascending exponents of its cyclic p-power factors.
-
-        This one does factor the invariant factors; call it for display and
-        small groups, not inside sweeps over large Laplacian groups.
-        """
-        out: dict[int, list[int]] = {}
-        for s in self.invariant_factors:
-            for p, e in factorize(s).items():
-                out.setdefault(p, []).append(e)
-        return {p: tuple(sorted(es)) for p, es in sorted(out.items())}
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,15 +179,3 @@ def structure_from_torsion_counts(p: int, counts) -> AbelianGroup:
         orders.extend([p**i] * (c - deeper))
     return from_cyclic_orders(orders)
 
-
-def torsion_counts(g: AbelianGroup, p: int, max_i: int) -> list[int]:
-    """#{h in g : h^(p^i) = 1} for i = 0..max_i (inverse of the above)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out = []
-    for i in range(max_i + 1):
-        total = 1
-        for s in g.invariant_factors:
-            total *= math.gcd(s, p**i)
-        out.append(total)
-    return out

@@ -12,8 +12,9 @@ all-ones vector).  This module provides:
   C'(m, q) = Sigma(m, q), and C'(n, q)/<x> is the tower without one
   Z_{p^k} of largest order plus S(m, q);
 * torsion-count references: in characteristic p the p-th power map is a
-  ring endomorphism, so the count #{u : u^(p^i) = 1} has a closed form that
-  reconstructs the Sylow p-subgroup independently of the tower;
+  ring endomorphism, so the counts #{u : u^(p^i) = 1} in C'(n, q) and
+  #{u : u^(p^i) in <x>} have closed forms that reconstruct the Sylow
+  p-subgroups of C'(n, q) and C'(n, q)/<x> independently of the tower;
 * a vectorized brute-force enumerator (numpy) that computes any of these
   groups by counting torsion directly, for q^n up to a configurable cap.
   It works in keys: an element's key is its enumeration index, the ring is
@@ -282,7 +283,9 @@ def _ring_args(n: int, q: int) -> tuple[int, int]:
 
 def relation_exponents(m: int, q: int) -> dict[int, int]:
     """The exponents r_v = (q^o(v) - 1) / (m / gcd(m, v)) of the quotient
-    presentation of C'(m, q)/<x> (exposed for property tests)."""
+    presentation of C'(m, q)/<x>, for gcd(m, q) = 1.  Each must be an
+    integer; the verification battery calls this to check that, and a
+    fraction raises AssertionError."""
     _ring_args(m, q)
     cs = cyclotomic_cosets(m, q)
     out = {}
@@ -328,18 +331,12 @@ def quotient_group_closed(n: int, q: int) -> tuple[AbelianGroup, str]:
     The p-part of x generates a Z_{p^k} of largest order in the tower, so it
     splits off and the tower loses its last summand; the prime-to-p part of
     x generates <x> in C'(m, q), whose quotient is S(m, q).  Over the prime
-    field the result is checked against the sandpile group S(n, p); a
-    mismatch means an implementation bug and raises.
+    field with p | n the paper's identity C'(n, p)/<x> = S(n, p) also
+    holds; the ``circulant`` command and the verification battery compare
+    the two, not this function.
     """
     orders, m = _sylow_tower(n, q)
     group = abelian.direct_sum(abelian.from_cyclic_orders(orders[:-1]), sandpile_group(m, q))
-    if orders and is_prime(q):
-        expected = sandpile_group(n, q)
-        if group != expected:
-            raise AssertionError(
-                f"quotient tower for (n, p) = ({n}, {q}) gave {group}, "
-                f"but the sandpile group is {expected}"
-            )
     return group, "closed_form"
 
 
@@ -376,27 +373,22 @@ def p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[int]:
 
 
 def quotient_p_torsion_counts(n: int, q: int, max_i: int | None = None) -> list[int]:
-    """Torsion counts of C'(n, q)/<x> at the characteristic, for n = p^k.
+    """Torsion counts of C'(n, q)/<x> at the characteristic p, for i = 0..max_i.
 
     Counting cosets amounts to counting #{u : u^(p^i) in <x>} and dividing
-    by n.  The image of the p^i-power endomorphism meets <x> exactly in the
-    powers x^(j p^i), so the tally is N_i * p^(k-i) for i <= k.
+    by n.  The map 1 + a -> (1 + a)^(p^i) = 1 + a^(p^i) is additive in a,
+    so each element of its image has N_i = #{u : u^(p^i) = 1} preimages,
+    and x^t lies in the image exactly when g | t, where g = p^min(i, k)
+    for n = p^k * m.  The tally is N_i * n / g, so the count is N_i / g.
     """
     p, _ = _ring_args(n, q)
     k = nu(n, p)
-    if p**k != n:
-        raise ValueError(
-            f"quotient torsion counts need n to be a power of char {p}; got n = {n}"
-        )
-    if max_i is None:
-        max_i = k + 1
     counts = []
-    for i in range(max_i + 1):
-        pw = p ** max(k - i, 0)
-        tally = pw * q ** (n - pw)
-        if tally % n != 0:
-            raise AssertionError(f"tally {tally} not divisible by n = {n}")
-        counts.append(tally // n)
+    for i, total in enumerate(p_torsion_counts(n, q, max_i)):
+        count, rest = divmod(total, p ** min(i, k))
+        if rest:
+            raise AssertionError(f"N_{i} = {total} not divisible by {p}^{min(i, k)}")
+        counts.append(count)
     return counts
 
 

@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+from .abelian import direct_sum, from_cyclic_orders
+from .arith import is_prime
 from .circulant import _BYTES_PER_ELEMENT, enumeration_cap, unit_group_brute, unit_group_closed
 from .closed_form import sand_dune_group, sandpile_group, sigma_relation_matrix
 from .digraphs import build_consecutive_d, de_bruijn, kautz, laplacian, sandpile_group_snf
@@ -121,6 +123,13 @@ def _cmd_snf(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_circulant(args: argparse.Namespace) -> tuple[dict, int]:
+    """circulant: the unit group by enumeration (--brute) or in closed form.
+
+    On the closed route with --mod-x over a prime q = p with p | n, the
+    tower quotient is compared with the sandpile group S(n, p), plus the
+    Z_{p-1} of constants unless --restricted; a mismatch raises
+    AssertionError, which run reports as an internal disagreement.
+    """
     t0 = time.perf_counter()
     n, q = args.n, args.q
     mode = {"restricted": args.restricted, "modulo_x": args.mod_x}
@@ -128,6 +137,15 @@ def _cmd_circulant(args: argparse.Namespace) -> tuple[dict, int]:
         group, method = unit_group_brute(n, q, cap=args.cap, **mode), "brute"
     else:
         group, method = unit_group_closed(n, q, **mode)
+        if args.mod_x and is_prime(q) and n % q == 0:
+            expected = sandpile_group(n, q)
+            if not args.restricted:
+                expected = direct_sum(expected, from_cyclic_orders([q - 1]))
+            if group != expected:
+                raise AssertionError(
+                    f"quotient tower for (n, p) = ({n}, {q}) gave {group}, but the "
+                    f"sandpile group{'' if args.restricted else ' plus Z_(p-1)'} is {expected}"
+                )
     doc = {
         "command": "circulant",
         "n": n,

@@ -255,9 +255,6 @@ class CosetSystem:
     def orbit_size(self, v: int) -> int:
         return len(self.orbit_of(v))
 
-    def representative_of(self, v: int) -> int:
-        return min(self.orbit_of(v))
-
 
 def _check_coprime(m: int, d: int) -> None:
     _check_d(d)

@@ -3,7 +3,7 @@
 Graphs are multidigraphs stored as dense n x n multiplicity matrices
 (loops and parallel edges are expected: for d >= n every consecutive-d
 constructor necessarily repeats targets).  Laplacians, spanning-tree
-counts, and sandpile/critical groups are derived through the exact linear
+counts, and sandpile groups at a root are derived through the exact linear
 algebra layer.
 """
 
@@ -39,12 +39,6 @@ class Digraph:
     def out_degree(self, v: int) -> int:
         return sum(self.adjacency[v])
 
-    def in_degree(self, v: int) -> int:
-        return sum(row[v] for row in self.adjacency)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(sum(row) for row in self.adjacency)
 
 
 def _consecutive(n: int, d: int, mult: int, offset: int) -> Digraph:
@@ -109,11 +103,6 @@ def laplacian(G: Digraph, reduce_at: int | None = None) -> IntMatrix:
     return IntMatrix.from_rows(reduced)
 
 
-def is_eulerian(G: Digraph) -> bool:
-    """True when every vertex has equal in- and out-degree."""
-    return all(G.in_degree(v) == G.out_degree(v) for v in range(G.n))
-
-
 def spanning_tree_count(G: Digraph, root: int) -> int:
     """Number of directed spanning trees rooted at ``root`` (Matrix Tree)."""
     return determinant(laplacian(G, reduce_at=root))
@@ -128,8 +117,3 @@ def sandpile_group_snf(G: Digraph, root: int) -> AbelianGroup:
     _, torsion = smith_group(laplacian(G, reduce_at=root))
     return torsion
 
-
-def critical_group_snf(G: Digraph) -> AbelianGroup:
-    """Critical group: torsion of the full-Laplacian cokernel."""
-    _, torsion = smith_group(laplacian(G))
-    return torsion

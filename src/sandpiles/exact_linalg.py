@@ -57,10 +57,6 @@ class IntMatrix:
         return cls(n_rows, n_cols, tuple(int(x) for r in rows for x in r))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -72,11 +68,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

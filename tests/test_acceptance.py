@@ -95,9 +95,9 @@ def test_criterion_07_circulant_prime_and_torsion(capsys):
     with criterion(capsys, 7, "prime-characteristic circulant groups and torsion counts"):
         # As in criterion 06, over q in {2, 3, 4, 5, 7}: 134 pairs with gcd(n, q) = 1.
         assert check_circulant_closed(40, 7) == 2 * 5 * 40 + 2 * 46 + 134
-        # One Sylow comparison per (n, q) for q in {2, 3, 4, 5, 7}, plus one
-        # quotient comparison per n = p^k <= 64 (p^0 included): 7, 4, 7, 3, 3.
-        assert check_torsion_oracle(64, 7) == 64 * 5 + 24
+        # Two Sylow comparisons per (n, q) for q in {2, 3, 4, 5, 7}: one for
+        # C'(n, q) and one for C'(n, q)/<x>.
+        assert check_torsion_oracle(64, 7) == 2 * 64 * 5
 
 
 def test_criterion_08_non_isomorphism_witness(capsys):

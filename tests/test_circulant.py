@@ -149,6 +149,19 @@ def test_quotient_group_prime():
     assert expected == from_cyclic_orders([3] * 4 + [9])
 
 
+def test_quotient_builds_the_sandpile_group_of_the_coprime_part_only(monkeypatch):
+    asked = []
+
+    def spy(n, d):
+        asked.append(n)
+        return sandpile_group(n, d)
+
+    monkeypatch.setattr(circulant, "sandpile_group", spy)
+    group, _ = quotient_group_closed(24, 2)
+    assert asked == [3]
+    assert group == sandpile_group(24, 2)
+
+
 def test_p_torsion_counts():
     assert p_torsion_counts(9, 9) == [1, 3**12, 3**16, 3**16]
     assert p_torsion_counts(4, 2) == [1, 4, 8, 8]
@@ -167,8 +180,8 @@ def test_p_torsion_counts():
 def test_quotient_p_torsion_counts():
     assert quotient_p_torsion_counts(4, 2) == [1, 2, 2, 2]
     assert quotient_p_torsion_counts(9, 9) == [1, 3**11, 3**14, 3**14]
-    with pytest.raises(ValueError):
-        quotient_p_torsion_counts(12, 2)  # coprime part m = 3 > 1
+    # n = 12 = 2^2 * 3: N_i = 2^(12 - 12/g) / g with g = 2^min(i, 2).
+    assert quotient_p_torsion_counts(12, 2) == [1, 32, 128, 128]
 
 
 def test_closed_dispatchers():

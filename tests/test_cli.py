@@ -273,6 +273,22 @@ def test_family_disagreement_exits_one(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+def test_circulant_quotient_disagreement_exits_one(capsys, monkeypatch):
+    # Over a prime q with q | n the closed --mod-x route is compared with
+    # S(n, q), plus the Z_{q-1} of constants unless --restricted.
+    for q in ("2", "3"):
+        for flags in ([], ["--restricted"]):
+            code, _, err = run_cli(capsys, "circulant", "--n", "12", "--q", q, "--mod-x", *flags)
+            assert code == 0 and err == ""
+    monkeypatch.setattr(cli, "sandpile_group", lambda n, d: from_cyclic_orders([999]))
+    for flags in ([], ["--restricted"]):
+        code, doc, err = run_cli(capsys, "circulant", "--n", "12", "--q", "2", "--mod-x", *flags)
+        assert code == 1 and doc is None
+        assert "internal disagreement" in err
+    code, doc, _ = run_cli(capsys, "circulant", "--n", "12", "--q", "2")
+    assert code == 0 and doc is not None
+
+
 def test_verify_small_sweep(capsys):
     code, doc, err = run_cli(
         capsys,

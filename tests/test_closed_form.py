@@ -140,8 +140,8 @@ def test_coset_system_lookup():
     cs = cyclotomic_cosets(15, 2)
     assert cs.orbit_of(4) == (1, 2, 4, 8)
     assert cs.orbit_size(9) == 4
-    assert cs.representative_of(10) == 5
-    assert cs.representative_of(2 * 7 % 15) == cs.representative_of(7)
+    assert min(cs.orbit_of(10)) == 5
+    assert min(cs.orbit_of(2 * 7 % 15)) == min(cs.orbit_of(7))
     with pytest.raises(ValueError):
         cs.orbit_of(0)
 
