@@ -17,7 +17,8 @@ from .exact_linalg import IntMatrix, determinant, smith_group
 
 # Peak bytes per vertex pair of a dense db/kautz/consecutive run (digraph,
 # Laplacian, Smith form and determinant), measured with tracemalloc: 62.9 at
-# DB(200, 2), 54 at n = 200 for d = 3..8 and for Kautz, 42 at n = 300 and 400.
+# DB(200, 2), 43-61 at n = 200 for d = 3..8 and for Kautz, 42 at n = 300 and
+# 400.
 _BYTES_PER_ENTRY = 64
 
 

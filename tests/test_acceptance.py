@@ -175,3 +175,9 @@ def test_criterion_13_closed_forms_with_many_cosets(capsys):
         dune = sand_dune_group(n, 2)
         assert dune.order == n * sandpile.order
         assert from_cyclic_orders(sandpile.invariant_factors) == sandpile
+
+
+def test_criterion_14_tree_count_at_n_800(capsys):
+    # The ±1 pivots leave a small Schur complement for the residue route.
+    with criterion(capsys, 14, "spanning trees of DB(800, 3) equal |S(800, 3)|", budget=3.0):
+        assert spanning_tree_count(de_bruijn(800, 3), 0) == sandpile_group(800, 3).order

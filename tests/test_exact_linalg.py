@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 import sympy
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from sandpiles.abelian import TRIVIAL_GROUP, from_cyclic_orders
+from sandpiles.closed_form import sandpile_group
 from sandpiles.digraphs import de_bruijn, laplacian
 from sandpiles.exact_linalg import (
     _STACK_BYTES,
     IntMatrix,
     _crt_primes,
+    _eliminate_unit_pivots,
     _hadamard_square,
     _prime_bits,
+    _residue_determinant,
     determinant,
     format_matrix,
     parse_matrix,
@@ -211,28 +215,75 @@ def test_determinant_wide_entries_match_sympy(M):
     assert determinant(M) == int(sympy.Matrix(M.to_rows()).det())
 
 
+@st.composite
+def sparse_unit_matrices(draw):
+    """Square matrices full of ±1 entries, so the unit pivot pass has work:
+    some with a zero row or column, a repeated row, or a signed permutation.
+    One more value per matrix is either below 2^31 or in [2^63, 2^80]; the
+    wide ones put about half of the complements that reach the residue route
+    past int64, where residues are taken with Python integers."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    wide = draw(st.integers(-(2**31), 2**31) | st.integers(2**63, 2**80))
+    values = (0, 0, 0, 1, -1, 1, -1, 2, -3, wide)
+    rows = [draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(("drawn", "zero row", "zero column", "repeated row", "permutation")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        rows[i] = [0] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[j] = 0
+    elif shape == "repeated row" and i != j:
+        rows[i] = list(rows[j])
+    elif shape == "permutation":
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        rows = [[signs[r] if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+@given(sparse_unit_matrices())
+def test_determinant_with_unit_pivots_matches_bareiss(M):
+    assert determinant(M) == bareiss_determinant(M)
+
+
+def test_unit_pivot_pass_shrinks_sparse_matrices_and_leaves_dense_ones():
+    L = laplacian(de_bruijn(241, 4), reduce_at=0)
+    sign, rest = _eliminate_unit_pivots(L)
+    assert rest.rows <= 40
+    assert sign * _residue_determinant(rest, _hadamard_square(L)) == sandpile_group(241, 4).order
+    rng = random.Random(120)
+    dense = IntMatrix(120, 120, tuple(rng.randint(-9, 9) for _ in range(120 * 120)))
+    assert _eliminate_unit_pivots(dense)[1].rows >= 100
+
+
+def _residue_only(M: IntMatrix) -> int:
+    """The determinant by residues alone, without the unit pivot pass."""
+    return _residue_determinant(M, _hadamard_square(M))
+
+
 def test_determinant_residue_edge_cases():
     # The leading entry is 0 mod the first prime only: that prime swaps rows.
     p = _crt_primes(2, 1)[0]
-    assert determinant(IntMatrix.from_rows([[p, 1], [1, 1]])) == p - 1
+    assert _residue_only(IntMatrix.from_rows([[p, 1], [1, 1]])) == p - 1
     # det = p1 * p2 is 0 mod the first two primes, both of which are used.
     p1, p2 = _crt_primes(3, 2**200)[:2]  # the first two primes at n = 3
     M = IntMatrix.from_rows([[p1, 0, 0], [1, p2, 0], [2, 3, 1]])
     assert {p1, p2} <= set(_crt_primes(3, _hadamard_square(M)))
-    assert determinant(M) == p1 * p2
+    assert _residue_only(M) == p1 * p2
     # Negative determinants after row swaps.
-    assert determinant(IntMatrix.from_rows([[0, 5], [3, 1]])) == -15
-    assert determinant(IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [7, 0, 0]])) == -7
+    assert _residue_only(IntMatrix.from_rows([[0, 5], [3, 1]])) == -15
+    assert _residue_only(IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [7, 0, 0]])) == -7
     # A zero row, and a singular matrix without one.
-    assert determinant(IntMatrix.from_rows([[1, 2], [0, 0]])) == 0
-    assert determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+    assert _residue_only(IntMatrix.from_rows([[1, 2], [0, 0]])) == 0
+    assert _residue_only(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
 
 
 def test_determinant_over_several_prime_stacks():
     L = laplacian(de_bruijn(120, 5), reduce_at=0)
     n = L.rows
     assert len(_crt_primes(n, _hadamard_square(L))) > _STACK_BYTES // (8 * n * n)
-    assert determinant(L) == bareiss_determinant(L)
+    assert _residue_only(L) == bareiss_determinant(L)
 
 
 @pytest.mark.parametrize("n", [1, 2048, 10**4])
